@@ -9,9 +9,9 @@ bit-identical to the pre-subsystem code (golden-trace pinned).
 Two operating modes:
 
 * **Vanilla** (``plan.detection is None``) — crashes are applied
-  through ``service.fail_node`` exactly like the legacy
-  ``node_failures`` hook: the head node is instantly aware and
-  reschedules orphans with the ``fallback`` reason.  Stragglers, cache
+  through ``service.fail_node`` per the paper's §VI-D design: the head
+  node is instantly aware and reschedules orphans with the
+  ``fallback`` reason.  Stragglers, cache
   wipes, and storage degradation simply happen, unnoticed.
 * **Self-healing** (``plan.detection`` set) — the head node is *not*
   told about faults.  A crashed node silently stops; placements onto it
@@ -229,9 +229,8 @@ class FaultRuntime:
                         priority=PRIORITY_ARRIVAL,
                     )
                 else:
-                    # Legacy §VI-D semantics, bit-identical to the old
-                    # node_failures hook: the exact same callback at the
-                    # exact same (time, priority, seq) slot.
+                    # §VI-D semantics: the head node learns of the
+                    # crash at the instant it happens.
                     events.schedule(
                         event.time,
                         self.service.fail_node,

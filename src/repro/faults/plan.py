@@ -9,18 +9,17 @@ regular event queue, so a run with ``faults=None`` is bit-identical to
 a run that predates the subsystem (the golden-trace hashes pin this).
 
 A plan optionally carries a :class:`DetectionConfig` and a
-:class:`RecoveryConfig`.  Without them the plan is *vanilla*: crashes
-are applied exactly like the legacy ``RunConfig(node_failures=...)``
-hook (the head node learns instantly, §VI-D), and nothing else is
-detected or healed.  With them the run is *self-healing*: the head node
+:class:`RecoveryConfig`.  Without them the plan is *vanilla*: the head
+node learns of crashes instantly (§VI-D), and nothing else is detected
+or healed.  With them the run is *self-healing*: the head node
 only learns about faults through the detectors
 (:mod:`repro.faults.detect`) and reacts through the recovery policies
 (:mod:`repro.faults.recovery`).
 
 Plans can be written in code, parsed from the CLI mini-language
 (:meth:`FaultPlan.parse`), generated as a seeded storm
-(:meth:`FaultPlan.storm`), or built from the deprecated
-``node_failures`` pairs (:meth:`FaultPlan.from_node_failures`).
+(:meth:`FaultPlan.storm`), or built from ``(time, node)`` crash pairs
+(:meth:`FaultPlan.from_node_failures`).
 """
 
 from __future__ import annotations
@@ -303,11 +302,8 @@ class FaultPlan:
     def from_node_failures(
         cls, failures: Sequence[Tuple[float, int]]
     ) -> "FaultPlan":
-        """The legacy ``RunConfig(node_failures=...)`` pairs as a plan.
-
-        Vanilla semantics (no detection/recovery): the resulting run is
-        bit-identical to the pre-plan crash hook.
-        """
+        """A vanilla plan (no detection/recovery) from ``(time, node)``
+        crash pairs."""
         return cls(
             events=tuple(NodeCrash(time, node) for time, node in failures)
         )

@@ -389,7 +389,7 @@ class AuditLog:
         """Resolve per-decision table accessors once per tables object.
 
         The audit hook fires per placement, so the replica map and the
-        availability view are bound directly (one dict/list probe per
+        available-time list are bound directly (one dict/list probe per
         decision instead of a method-call chain).  Table doubles that
         lack the :class:`~repro.core.tables.SchedulerTables` internals
         fall back to the public interface.

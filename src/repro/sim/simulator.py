@@ -9,10 +9,6 @@ Run options travel in one :class:`~repro.sim.run_config.RunConfig`::
 
     result = run_simulation(scenario, "OURS", config=RunConfig(drain=True))
 
-The pre-1.1 keyword spelling (``run_simulation(scenario, "OURS",
-drain=True)``) still works, builds the identical ``RunConfig``
-internally, and emits a :class:`DeprecationWarning`.
-
 :func:`compare_schedulers` runs the same scenario under several policies
 — the shape of Figs. 4-7.
 """
@@ -29,7 +25,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injector import FaultReport
     from repro.obs.stream import StreamReport
 
-from repro._compat import warn_deprecated
 from repro.cluster.cluster import Cluster
 from repro.cluster.event_queue import PRIORITY_ARRIVAL, EventQueue
 from repro.core.cost_model import mean
@@ -60,7 +55,7 @@ from repro.obs.metrics import (
 from repro.obs.profile import ClusterProfile
 from repro.obs.tracer import PID_HEAD, Tracer, active_tracer, pid_for_node
 from repro.frontend.frontend import FrontendStats, ServiceFrontend
-from repro.sim.run_config import LEGACY_KWARGS, RunConfig
+from repro.sim.run_config import RunConfig
 from repro.sim.service import VisualizationService
 from repro.workload.scenarios import Scenario
 
@@ -271,7 +266,6 @@ def run_simulation(
     scenario: Scenario,
     scheduler: Union[str, Scheduler],
     config: Optional[RunConfig] = None,
-    **legacy_kwargs,
 ) -> SimulationResult:
     """Run one scenario under one scheduler.
 
@@ -280,41 +274,16 @@ def run_simulation(
         scheduler: A registry name (e.g. ``"OURS"``) or an instance.
         config: A :class:`~repro.sim.run_config.RunConfig` describing
             how to run — drain control, storage seed, observability
-            (tracer / metrics / timeline), the node-failure schedule,
-            and the overload-management ``frontend``.  ``None`` means
-            all defaults (horizon-bounded, uninstrumented, no
-            frontend).
-        **legacy_kwargs: Deprecated pre-1.1 spelling — any
-            ``RunConfig`` field passed directly as a keyword argument
-            (``drain=True``, ``metrics=True``, ...).  Builds the
-            identical ``RunConfig`` and emits a
-            :class:`DeprecationWarning`; cannot be combined with
-            ``config``.
+            (tracer / metrics / timeline), the fault plan, and the
+            overload-management ``frontend``.  ``None`` means all
+            defaults (horizon-bounded, uninstrumented, no frontend).
 
     Returns:
         A :class:`SimulationResult` (``result.profile`` carries the
         per-node io/render/composite/idle breakdown; ``result.frontend``
         the overload accounting when a frontend was configured).
     """
-    if legacy_kwargs:
-        unknown = set(legacy_kwargs) - set(LEGACY_KWARGS)
-        if unknown:
-            raise TypeError(
-                "run_simulation() got unexpected keyword arguments: "
-                + ", ".join(sorted(unknown))
-            )
-        if config is not None:
-            raise TypeError(
-                "pass either config=RunConfig(...) or legacy keyword "
-                "arguments, not both"
-            )
-        warn_deprecated(
-            "passing run options as keyword arguments to run_simulation() "
-            "is deprecated; pass config=RunConfig(...) instead",
-            stacklevel=2,
-        )
-        config = RunConfig(**legacy_kwargs)
-    elif config is None:
+    if config is None:
         config = RunConfig()
     return _run(scenario, scheduler, config)
 
@@ -362,7 +331,6 @@ def _run(
         metrics=registry,
         audit=audit_log,
         job_ids=JobIdAllocator(config.job_namespace),
-        tables_backend=config.tables_backend,
     )
     if causal is not None:
         # A per-job completion listener, not a per-task cluster listener:
@@ -452,9 +420,7 @@ def _run(
     fault_runtime = None
     if config.faults is not None:
         # Lazy import: fault-free runs never touch the subsystem.  The
-        # runtime schedules every planned event here — the exact event-
-        # queue position the legacy node_failures hook used, so vanilla
-        # crash plans stay bit-identical to the deprecated spelling.
+        # runtime schedules every planned event here.
         from repro.faults.injector import FaultRuntime
 
         fault_runtime = FaultRuntime(

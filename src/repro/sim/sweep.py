@@ -23,7 +23,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from repro._compat import warn_deprecated
 from repro.core.scheduler_base import Scheduler
 from repro.reporting.report import sweep_table
 from repro.sim.run_config import RunConfig
@@ -36,25 +35,6 @@ SchedulerLike = Union[str, Callable[[], Scheduler]]
 
 def _instantiate(scheduler: SchedulerLike) -> Union[str, Scheduler]:
     return scheduler() if callable(scheduler) else scheduler
-
-
-def _resolve_config(
-    config: Optional[RunConfig], run_kwargs: dict, caller: str
-) -> RunConfig:
-    """Merge the deprecated ``**run_kwargs`` spelling into a RunConfig."""
-    if run_kwargs:
-        if config is not None:
-            raise TypeError(
-                f"pass either config=RunConfig(...) or legacy keyword "
-                f"arguments to {caller}(), not both"
-            )
-        warn_deprecated(
-            f"passing run options as keyword arguments to {caller}() is "
-            f"deprecated; pass config=RunConfig(...) instead",
-            stacklevel=3,
-        )
-        return RunConfig(**run_kwargs)
-    return config if config is not None else RunConfig()
 
 
 def _run_point(
@@ -144,7 +124,6 @@ def sweep(
     *,
     workers: Optional[int] = None,
     config: Optional[RunConfig] = None,
-    **run_kwargs,
 ) -> SweepResult:
     """Run ``scenario_factory(value)`` under each scheduler per value.
 
@@ -159,14 +138,12 @@ def sweep(
             serial path.
         config: :class:`~repro.sim.run_config.RunConfig` applied to
             every run of the sweep (``None`` = all defaults).
-        **run_kwargs: Deprecated — ``RunConfig`` fields as direct
-            keyword arguments; emits a :class:`DeprecationWarning`.
     """
     if not values:
         raise ValueError("sweep needs at least one value")
     if not schedulers:
         raise ValueError("sweep needs at least one scheduler")
-    run_config = _resolve_config(config, run_kwargs, "sweep")
+    run_config = config if config is not None else RunConfig()
     out = SweepResult(parameter=parameter, values=list(values), schedulers=[])
     names: List[str] = []
     grid = _run_grid(scenario_factory, values, schedulers, workers, run_config)
@@ -240,7 +217,6 @@ def replicate(
     *,
     workers: Optional[int] = None,
     config: Optional[RunConfig] = None,
-    **run_kwargs,
 ) -> ReplicationResult:
     """Run ``scenario_factory(seed)`` once per seed under one scheduler.
 
@@ -248,12 +224,11 @@ def replicate(
     comparisons (the paper's, and this repo's scenario benches) cannot.
     ``workers=N`` runs the seeds on a process pool (results keyed by
     seed order, identical to the serial path).  ``config`` applies one
-    :class:`~repro.sim.run_config.RunConfig` to every replica; passing
-    ``RunConfig`` fields directly as keyword arguments is deprecated.
+    :class:`~repro.sim.run_config.RunConfig` to every replica.
     """
     if not seeds:
         raise ValueError("replicate needs at least one seed")
-    run_config = _resolve_config(config, run_kwargs, "replicate")
+    run_config = config if config is not None else RunConfig()
     results = _run_grid(scenario_factory, seeds, [scheduler], workers, run_config)
     name: Optional[str] = results[-1].scheduler_name if results else None
     return ReplicationResult(

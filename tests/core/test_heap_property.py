@@ -1,14 +1,46 @@
-"""Model-based property tests for the availability views."""
+"""Model-based property tests for the min-available-node selection.
 
-import pytest
+``SchedulerTables.min_available_node()`` and the inline scan in OURS'
+interactive placement must both name the lowest-id node among those
+with the minimal available time, never a failed or quarantined node
+while a live one exists.  Both are checked against an independent
+linear scan over a model of the table.
+"""
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.tables import (
-    ArgminAvailability,
-    MinScanAvailability,
-    NodeAvailabilityHeap,
-)
+from repro.core.chunks import Dataset
+from repro.core.ours import OursScheduler
+from repro.util.units import GiB
+
+from tests.conftest import MiniHarness
+
+
+def expected_node(values, excluded):
+    """Lowest id with the minimal value among non-excluded nodes.
+
+    With every node excluded the whole table sits at +inf and the
+    first-minimum tie order names node 0.
+    """
+    best = None
+    for k, value in enumerate(values):
+        if k in excluded:
+            continue
+        if best is None or value < values[best]:
+            best = k
+    return 0 if best is None else best
+
+
+def ours_choice(harness: MiniHarness) -> int:
+    """Node the OURS inline scan picks for one uncached interactive chunk."""
+    job = harness.job(Dataset("ds-prop", 1 * GiB))
+    tasks = harness.ctx.decompose(job)[:1]
+    OursScheduler()._place_interactive_chunk(
+        tasks[0].chunk, tasks, harness.ctx, harness.tables, 0.0, None
+    )
+    (assignment,) = harness.ctx.take_assignments()
+    return assignment.node
 
 
 @given(
@@ -17,109 +49,54 @@ from repro.core.tables import (
         st.tuples(st.integers(0, 11), st.floats(0.0, 100.0)), max_size=150
     ),
 )
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_min_node_matches_linear_scan(n, ops):
-    """After any sequence of updates, min_node agrees with a scan."""
-    available = [0.0] * n
-    heap = NodeAvailabilityHeap(available)
+    """After any sequence of table writes both selections agree with a scan."""
+    harness = MiniHarness(node_count=n)
+    tables = harness.tables
+    values = [0.0] * n
     for node, value in ops:
         node %= n
-        available[node] = value
-        heap.update(node)
-        best = heap.min_node()
-        assert available[best] == min(available)
+        values[node] = value
+        tables.available[node] = value
+        assert tables.min_available_node() == expected_node(values, set())
+    assert ours_choice(harness) == expected_node(values, set())
 
 
 @given(
     n=st.integers(2, 8),
     ops=st.lists(
-        st.tuples(st.integers(0, 7), st.floats(0.0, 50.0)), max_size=60
+        st.tuples(
+            st.sampled_from(["write", "fail", "quarantine", "recover"]),
+            st.integers(0, 7),
+            st.floats(0.0, 50.0),
+        ),
+        max_size=60,
     ),
-    excluded_bits=st.integers(0, 254),
 )
-@settings(max_examples=150, deadline=None)
-def test_min_excluding_matches_linear_scan(n, ops, excluded_bits):
-    available = [0.0] * n
-    heap = NodeAvailabilityHeap(available)
-    for node, value in ops:
+@settings(max_examples=100, deadline=None)
+def test_min_excluding_matches_linear_scan(n, ops):
+    """Failed and quarantined nodes are skipped until they recover."""
+    harness = MiniHarness(node_count=n)
+    tables = harness.tables
+    values = [0.0] * n
+    excluded = set()
+    for op, node, value in ops:
         node %= n
-        available[node] = value
-        heap.update(node)
-    excluded = {k for k in range(n) if excluded_bits & (1 << k)}
-    result = heap.min_node_excluding(excluded)
-    remaining = [k for k in range(n) if k not in excluded]
-    if not remaining:
-        assert result is None
-    else:
-        assert result is not None
-        assert available[result] == min(available[k] for k in remaining)
-    # Non-destructive: global min still correct afterwards.
-    assert available[heap.min_node()] == min(available)
-
-
-class TestHeapCompaction:
-    """Regression tests: lazy deletion must not grow the heap unboundedly.
-
-    Before compaction, every ``update`` pushed a fresh entry and left the
-    stale one in place — a long run accumulated one dead tuple per table
-    write, degrading ``min_node`` toward O(n log n) and leaking memory.
-    The heap now rebuilds whenever stale entries would outnumber live
-    ones, pinning its footprint below ``2p`` entries forever.
-    """
-
-    @pytest.mark.parametrize("p", [4, 16, 64])
-    def test_heap_size_pinned_below_two_p(self, p):
-        available = [0.0] * p
-        heap = NodeAvailabilityHeap(available)
-        for i in range(50 * p):
-            node = i % p
-            available[node] = float(i)
-            heap.update(node)
-            assert len(heap) < 2 * p, (
-                f"heap grew to {len(heap)} entries after {i + 1} updates "
-                f"(p={p}): compaction never ran"
-            )
-
-    def test_min_node_correct_across_many_compactions(self):
-        p = 8
-        available = [0.0] * p
-        heap = NodeAvailabilityHeap(available)
-        for i in range(400):
-            node = (i * 5) % p
-            available[node] = float((i * 7919) % 100)
-            heap.update(node)
-            best = heap.min_node()
-            assert available[best] == min(available)
-            # First-minimum tie order, same as the scan view.
-            assert best == available.index(min(available))
-
-
-@given(
-    n=st.integers(1, 12),
-    ops=st.lists(
-        st.tuples(st.integers(0, 11), st.floats(0.0, 100.0)), max_size=100
-    ),
-    excluded_bits=st.integers(0, 4094),
-)
-@settings(max_examples=150, deadline=None)
-def test_all_views_agree(n, ops, excluded_bits):
-    """The three availability views are interchangeable bit-for-bit."""
-    import numpy as np
-
-    available = [0.0] * n
-    arr = np.zeros(n, dtype=np.float64)
-    scan = MinScanAvailability(available)
-    heap = NodeAvailabilityHeap(available)
-    argmin = ArgminAvailability(arr)
-    for node, value in ops:
-        node %= n
-        available[node] = value
-        arr[node] = value
-        heap.update(node)
-        assert scan.min_node() == heap.min_node() == argmin.min_node()
-    excluded = {k for k in range(n) if excluded_bits & (1 << k)}
-    assert (
-        scan.min_node_excluding(excluded)
-        == heap.min_node_excluding(excluded)
-        == argmin.min_node_excluding(excluded)
-    )
+        if op == "write":
+            if node in excluded:
+                continue  # nothing is assigned to an excluded node
+            tables.available[node] = value
+        elif op == "fail":
+            tables.mark_node_failed(node)
+            excluded.add(node)
+        elif op == "quarantine":
+            tables.quarantine(node)
+            excluded.add(node)
+        else:
+            tables.mark_node_recovered(node, now=value)
+            excluded.discard(node)
+        values[node] = value
+        assert tables.min_available_node() == expected_node(values, excluded)
+    if len(excluded) < n:
+        assert ours_choice(harness) == expected_node(values, excluded)

@@ -45,7 +45,6 @@ class TestSchedulerContext:
 class TestGreedyHelpers:
     def test_min_available_picks_least_loaded(self, harness, dataset_1g):
         harness.tables.available[0] = 5.0
-        harness.tables.heap.update(0)
         job = harness.job(dataset_1g)
         task = harness.ctx.decompose(job)[0]
         assert greedy_min_available(task, harness.ctx) != 0

@@ -80,7 +80,6 @@ class TestFCFSL:
         # Pile far more than one I/O worth of predicted work onto it.
         io = harness.tables.io_estimate(j1.tasks[0].chunk)
         harness.tables.available[cached_node] += 3 * io
-        harness.tables.heap.update(cached_node)
         j2 = harness.job(ds_small)
         sched.schedule([j2], harness.ctx)
         (a2,) = harness.ctx.take_assignments()
@@ -97,7 +96,6 @@ class TestFCFSL:
         # Node drained but re-booked with a backlog smaller than the
         # I/O cost → staying put is cheaper than a cold load elsewhere.
         harness.tables.available[a1.node] = 0.2
-        harness.tables.heap.update(a1.node)
         j2 = harness.job(ds_small)
         sched.schedule([j2], harness.ctx)
         (a2,) = harness.ctx.take_assignments()

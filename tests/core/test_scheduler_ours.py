@@ -65,7 +65,6 @@ class TestInteractiveHeuristics:
         harness.tables.warm(chunk, 0)
         io = harness.tables.io_estimate(chunk)
         harness.tables.available[0] += 2 * io
-        harness.tables.heap.update(0)
         job = harness.job(ds)
         ours.schedule([job], harness.ctx)
         (a,) = harness.ctx.take_assignments()
@@ -89,7 +88,6 @@ class TestBatchDeferral:
         """Heuristic 2: batch jobs are held until nodes become available."""
         for k in range(harness.cluster.node_count):
             harness.tables.available[k] = 100.0  # booked far past λ
-            harness.tables.heap.update(k)
         job = harness.job(dataset_1g, job_type=JobType.BATCH)
         ours.schedule([job], harness.ctx)
         assert harness.ctx.take_assignments() == []
@@ -98,7 +96,6 @@ class TestBatchDeferral:
     def test_deferred_batch_runs_on_later_cycle(self, ours, harness, dataset_1g):
         for k in range(harness.cluster.node_count):
             harness.tables.available[k] = 100.0
-            harness.tables.heap.update(k)
         job = harness.job(dataset_1g, job_type=JobType.BATCH)
         ours.schedule([job], harness.ctx)
         harness.ctx.take_assignments()
@@ -106,7 +103,6 @@ class TestBatchDeferral:
         # nodes never served interactive work, so ε is satisfied.
         for k in range(harness.cluster.node_count):
             harness.tables.available[k] = 0.0
-            harness.tables.heap.update(k)
         ours.schedule([], harness.ctx)
         assert len(harness.ctx.take_assignments()) == 4
         assert ours.pending_task_count() == 0
@@ -149,7 +145,6 @@ class TestBatchDeferral:
         # drain instantly in the tables for the sake of the test:
         for k in range(harness.cluster.node_count):
             harness.tables.available[k] = 0.0
-            harness.tables.heap.update(k)
         cold = harness.job(
             Dataset("cold", 256 * MiB), job_type=JobType.BATCH
         )
@@ -169,7 +164,6 @@ class TestBatchDeferral:
         harness.advance(10.0)
         for k in range(harness.cluster.node_count):
             harness.tables.available[k] = harness.cluster.now
-            harness.tables.heap.update(k)
         ours.schedule([], harness.ctx)
         assert len(harness.ctx.take_assignments()) == 1
         assert ours.pending_task_count() == 0
@@ -183,7 +177,6 @@ class TestBatchDeferral:
         harness.tables.warm(chunk_r, 0)
         # Node 0 saturated so the cached-batch phase cannot take it.
         harness.tables.available[0] = 100.0
-        harness.tables.heap.update(0)
         j_r = harness.job(replicated, job_type=JobType.BATCH, action=0)
         j_f = harness.job(fresh, job_type=JobType.BATCH, action=1)
         ours.schedule([j_r, j_f], harness.ctx)
@@ -206,7 +199,6 @@ class TestBatchDeferral:
     def test_reset_clears_backlog(self, ours, harness, dataset_1g):
         for k in range(harness.cluster.node_count):
             harness.tables.available[k] = 100.0
-            harness.tables.heap.update(k)
         ours.schedule(
             [harness.job(dataset_1g, job_type=JobType.BATCH)], harness.ctx
         )

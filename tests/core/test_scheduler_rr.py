@@ -35,7 +35,6 @@ class TestRR:
         """A saturated node still receives its turn (RR's blindness)."""
         sched = RRScheduler()
         harness.tables.available[1] = 100.0
-        harness.tables.heap.update(1)
         job = harness.job(dataset_1g)
         sched.schedule([job], harness.ctx)
         nodes = [a.node for a in harness.ctx.take_assignments()]

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.chunks import Chunk, Dataset
 from repro.core.job import JobType
-from repro.core.tables import NodeAvailabilityHeap
 from repro.util.units import GiB, MiB
 
 from tests.conftest import MiniHarness
@@ -14,33 +13,52 @@ def chunk(i: int, size=256 * MiB, ds="ds") -> Chunk:
     return Chunk(ds, i, size)
 
 
-class TestAvailabilityHeap:
-    def test_min_node_initial_tie(self):
-        heap = NodeAvailabilityHeap([0.0, 0.0, 0.0])
-        assert heap.min_node() == 0
+INF = float("inf")
 
-    def test_updates_tracked(self):
-        avail = [0.0, 0.0, 0.0]
-        heap = NodeAvailabilityHeap(avail)
-        avail[0] = 5.0
-        heap.update(0)
-        assert heap.min_node() == 1
 
-    def test_decrease_tracked(self):
-        avail = [5.0, 3.0, 4.0]
-        heap = NodeAvailabilityHeap(avail)
-        avail[0] = 1.0
-        heap.update(0)
-        assert heap.min_node() == 0
+class TestMinAvailableNode:
+    """``min_available_node()`` is a first-minimum scan of ``available``."""
 
-    def test_min_excluding(self):
-        avail = [1.0, 2.0, 3.0]
-        heap = NodeAvailabilityHeap(avail)
-        assert heap.min_node_excluding({0}) == 1
-        assert heap.min_node_excluding({0, 1}) == 2
-        assert heap.min_node_excluding({0, 1, 2}) is None
-        # Non-destructive: the excluded minimum is still found afterwards.
-        assert heap.min_node() == 0
+    @pytest.mark.parametrize(
+        "available,expected",
+        [
+            ([0.0, 0.0, 0.0], 0),
+            ([3.0, 1.0, 2.0, 1.0], 1),
+            ([INF, 5.0, INF, 5.0], 1),
+            ([INF, INF, 7.0], 2),
+            ([INF, INF, INF], 0),
+        ],
+        ids=[
+            "initial-tie",
+            "lowest-id-among-equal-minima",
+            "inf-never-beats-finite",
+            "single-finite",
+            "all-inf-gives-node-0",
+        ],
+    )
+    def test_tie_order(self, available, expected):
+        h = MiniHarness(node_count=len(available))
+        h.tables.available[:] = available
+        assert h.tables.min_available_node() == expected
+
+    def test_writes_are_seen_directly(self, harness: MiniHarness):
+        available = harness.tables.available
+        available[0] = 5.0
+        assert harness.tables.min_available_node() == 1
+        available[0] = -1.0
+        assert harness.tables.min_available_node() == 0
+
+    def test_failed_and_quarantined_nodes_skipped_until_recovered(
+        self, harness: MiniHarness
+    ):
+        tables = harness.tables
+        tables.mark_node_failed(0)
+        tables.quarantine(1)
+        assert tables.min_available_node() == 2
+        tables.mark_node_recovered(1, now=0.0)
+        assert tables.min_available_node() == 1
+        tables.mark_node_recovered(0, now=0.0)
+        assert tables.min_available_node() == 0
 
 
 class TestEstimateTable:

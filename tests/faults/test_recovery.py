@@ -115,23 +115,18 @@ class TestBitIdentity:
         assert baseline == armed
 
     def test_legacy_node_failures_parity(self):
-        """The deprecation shim is bit-identical to the explicit plan."""
-        failures = [(1.0, 2)]
-        with pytest.warns(DeprecationWarning, match="node_failures"):
-            legacy = self._trace_hash(
-                RunConfig(record_assignments=True, node_failures=failures)
+        """Crash pairs build the same run as the explicit crash plan."""
+        pairs = self._trace_hash(
+            RunConfig(
+                record_assignments=True,
+                faults=FaultPlan.from_node_failures([(1.0, 2)]),
             )
+        )
         explicit = self._trace_hash(
             RunConfig(
                 record_assignments=True,
-                faults=FaultPlan.from_node_failures(failures),
+                faults=FaultPlan(events=(NodeCrash(1.0, 2),)),
             )
         )
-        assert legacy == explicit
-
-    def test_node_failures_and_faults_are_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
-            RunConfig(
-                node_failures=[(1.0, 0)],
-                faults=FaultPlan.from_node_failures([(1.0, 0)]),
-            )
+        assert pairs == explicit
+        assert pairs != self._trace_hash(RunConfig(record_assignments=True))

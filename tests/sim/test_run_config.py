@@ -1,4 +1,4 @@
-"""Tests for RunConfig and the deprecated legacy-kwargs spelling."""
+"""Tests for RunConfig and the removed pre-2.0 spellings."""
 
 import pickle
 import warnings
@@ -6,17 +6,10 @@ import warnings
 import pytest
 
 from repro.frontend import FrontendConfig
-from repro.sim.run_config import LEGACY_KWARGS, RunConfig
+from repro.sim.run_config import RunConfig
 from repro.sim.simulator import run_simulation
 from repro.sim.sweep import replicate, sweep
 from repro.workload.scenarios import make_scenario
-
-
-def fingerprint(result):
-    return [
-        (r.user, r.action, r.sequence, r.finish, r.latency)
-        for r in result.collector.records
-    ]
 
 
 def scenario_factory(seed):
@@ -36,29 +29,20 @@ class TestRunConfig:
         clone = pickle.loads(pickle.dumps(config))
         assert clone == config
 
-    def test_legacy_kwargs_enumerates_fields(self):
-        assert "drain" in LEGACY_KWARGS
-        assert "frontend" in LEGACY_KWARGS
-
 
 class TestDeprecatedSpelling:
-    def test_legacy_kwargs_warn_and_match_config(self):
-        scenario = make_scenario(2, scale=0.02)
-        via_config = run_simulation(
-            scenario, "OURS", config=RunConfig(drain=True)
-        )
-        with pytest.warns(DeprecationWarning, match="RunConfig"):
-            via_kwargs = run_simulation(scenario, "OURS", drain=True)
-        assert fingerprint(via_kwargs) == fingerprint(via_config)
-        assert via_kwargs.jobs_completed == via_config.jobs_completed
-        assert via_kwargs.interactive_fps == via_config.interactive_fps
+    """The 1.x keyword spellings were removed in 2.0."""
 
-    def test_config_plus_kwargs_rejected(self):
+    def test_removed_spellings_raise_type_error(self):
         scenario = make_scenario(2, scale=0.02)
-        with pytest.raises(TypeError, match="not both"):
-            run_simulation(
-                scenario, "OURS", config=RunConfig(), drain=True
-            )
+        with pytest.raises(TypeError):
+            run_simulation(scenario, "OURS", drain=True)
+        with pytest.raises(TypeError):
+            sweep("seed", [0], scenario_factory, ["OURS"], drain=True)
+        with pytest.raises(TypeError):
+            replicate(scenario_factory, "OURS", seeds=[0], drain=True)
+        with pytest.raises(TypeError):
+            RunConfig(node_failures=[(1.0, 2)])
 
     def test_unknown_kwarg_rejected(self):
         scenario = make_scenario(2, scale=0.02)
@@ -71,27 +55,6 @@ class TestDeprecatedSpelling:
             warnings.simplefilter("error", DeprecationWarning)
             run_simulation(scenario, "OURS", config=RunConfig())
             run_simulation(scenario, "OURS")
-
-    def test_sweep_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="sweep"):
-            sweep(
-                "seed", [0], scenario_factory, ["OURS"], drain=True
-            )
-
-    def test_sweep_config_plus_kwargs_rejected(self):
-        with pytest.raises(TypeError, match="not both"):
-            sweep(
-                "seed",
-                [0],
-                scenario_factory,
-                ["OURS"],
-                config=RunConfig(),
-                drain=True,
-            )
-
-    def test_replicate_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="replicate"):
-            replicate(scenario_factory, "OURS", seeds=[0], drain=True)
 
 
 class TestConfigThroughProcessPool:

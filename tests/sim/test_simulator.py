@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster.storage import StorageSpec
 from repro.core.chunks import dataset_suite
+from repro.faults.plan import FaultPlan
 from repro.sim.config import system_linux8
 from repro.sim.run_config import RunConfig
 from repro.sim.simulator import compare_schedulers, run_simulation
@@ -115,9 +116,7 @@ class TestCompareSchedulers:
 
 class TestNodeFailureInjection:
     def test_crash_schedule_survives(self):
-        # The legacy spelling still works (behind a DeprecationWarning).
-        with pytest.warns(DeprecationWarning, match="node_failures"):
-            config = RunConfig(node_failures=[(1.0, 1)])
+        config = RunConfig(faults=FaultPlan.from_node_failures([(1.0, 1)]))
         result = run_simulation(tiny_scenario(duration=3.0), "OURS", config=config)
         assert result.jobs_completed > 0
         # Degrades versus the healthy run but keeps serving.
@@ -125,7 +124,6 @@ class TestNodeFailureInjection:
         assert result.interactive_fps <= healthy.interactive_fps
 
     def test_invalid_node_rejected(self):
-        with pytest.warns(DeprecationWarning, match="node_failures"):
-            config = RunConfig(node_failures=[(0.5, 99)])
+        config = RunConfig(faults=FaultPlan.from_node_failures([(0.5, 99)]))
         with pytest.raises(ValueError, match="fault plan references node"):
             run_simulation(tiny_scenario(duration=1.0), "OURS", config=config)
