@@ -43,6 +43,18 @@ def ours_choice(harness: MiniHarness) -> int:
     return assignment.node
 
 
+def test_min_node_correct_across_many_writes():
+    """A long run of writes keeps the first-minimum tie order."""
+    p = 8
+    harness = MiniHarness(node_count=p)
+    available = harness.tables.available
+    for i in range(400):
+        node = (i * 5) % p
+        available[node] = float((i * 7919) % 100)
+        best = harness.tables.min_available_node()
+        assert best == available.index(min(available))
+
+
 @given(
     n=st.integers(1, 12),
     ops=st.lists(

@@ -41,12 +41,28 @@ class TestMinAvailableNode:
         h.tables.available[:] = available
         assert h.tables.min_available_node() == expected
 
-    def test_writes_are_seen_directly(self, harness: MiniHarness):
-        available = harness.tables.available
-        available[0] = 5.0
+    def test_increase_is_seen_directly(self, harness: MiniHarness):
+        harness.tables.available[0] = 5.0
         assert harness.tables.min_available_node() == 1
-        available[0] = -1.0
-        assert harness.tables.min_available_node() == 0
+
+    def test_decrease_is_seen_directly(self):
+        h = MiniHarness(node_count=3)
+        h.tables.available[:] = [5.0, 3.0, 4.0]
+        h.tables.available[0] = 1.0
+        assert h.tables.min_available_node() == 0
+
+    def test_one_survivor_is_found(self):
+        p = 16
+        h = MiniHarness(node_count=p)
+        h.tables.available[:] = [float(k) for k in range(p)]
+        for k in range(p):
+            if k == 11:
+                continue
+            if k % 2:
+                h.tables.quarantine(k)
+            else:
+                h.tables.mark_node_failed(k)
+        assert h.tables.min_available_node() == 11
 
     def test_failed_and_quarantined_nodes_skipped_until_recovered(
         self, harness: MiniHarness

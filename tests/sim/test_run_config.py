@@ -33,15 +33,39 @@ class TestRunConfig:
 class TestDeprecatedSpelling:
     """The 1.x keyword spellings were removed in 2.0."""
 
-    def test_removed_spellings_raise_type_error(self):
+    def test_run_simulation_legacy_kwargs_raise(self):
         scenario = make_scenario(2, scale=0.02)
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             run_simulation(scenario, "OURS", drain=True)
-        with pytest.raises(TypeError):
+
+    def test_config_plus_kwargs_rejected(self):
+        scenario = make_scenario(2, scale=0.02)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            run_simulation(
+                scenario, "OURS", config=RunConfig(), drain=True
+            )
+
+    def test_sweep_legacy_kwargs_raise(self):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             sweep("seed", [0], scenario_factory, ["OURS"], drain=True)
-        with pytest.raises(TypeError):
+
+    def test_sweep_config_plus_kwargs_rejected(self):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            sweep(
+                "seed",
+                [0],
+                scenario_factory,
+                ["OURS"],
+                config=RunConfig(),
+                drain=True,
+            )
+
+    def test_replicate_legacy_kwargs_raise(self):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             replicate(scenario_factory, "OURS", seeds=[0], drain=True)
-        with pytest.raises(TypeError):
+
+    def test_node_failures_field_raises(self):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             RunConfig(node_failures=[(1.0, 2)])
 
     def test_unknown_kwarg_rejected(self):
