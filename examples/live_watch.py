@@ -5,7 +5,7 @@ A production visualization service is a long-lived process — the
 operator's first question is always "what is it doing *right now*?".
 This example runs Scenario 1 under OURS with a :class:`StreamConfig`
 attached, so the simulator emits schema-versioned NDJSON snapshots on
-the metrics sampler grid *while the run executes*, then replays the
+the metric-window grid *while the run executes*, then replays the
 stream file the way ``repro watch`` does: a live status table, fault
 markers, online anomaly alarms, and the closing summary.
 

@@ -252,7 +252,7 @@ def _stream_parent() -> argparse.ArgumentParser:
         default=None,
         help=(
             "stream live telemetry (schema-versioned NDJSON snapshots "
-            "on the sampler grid, wall-clock progress/ETA checkpoints, "
+            "on the metric-window grid, wall-clock progress/ETA checkpoints, "
             "online anomaly records) to PATH during the run; tail it "
             "with 'repro watch PATH'.  With several runs, the run name "
             "is inserted before the file extension"

@@ -138,14 +138,9 @@ def _run_shard(
 ) -> SimulationResult:
     """Worker body for one shard run.
 
-    Module-level so it is picklable for :class:`ProcessPoolExecutor`;
-    detaches the timeline sampler's service reference (a cycle through
-    the whole cluster) before the result crosses the process boundary.
+    Module-level so it is picklable for :class:`ProcessPoolExecutor`.
     """
-    result = run_simulation(scenario, scheduler, config=config)
-    if result.timeline_samples is not None:
-        result.timeline_samples._service = None
-    return result
+    return run_simulation(scenario, scheduler, config=config)
 
 
 def run_federation(

@@ -1,7 +1,8 @@
 """SLO-driven graceful degradation: the quality-ladder controller.
 
-The controller rides the event queue (exactly like
-:class:`~repro.obs.metrics.MetricsSampler`) and, each tick, converts the
+The controller ticks on the event queue at its own ``sample_interval``
+(a control loop that changes placements, so it is not a
+:class:`~repro.obs.probe.Probe` sink) and, each tick, converts the
 delivered per-session framerate of the last interval into the SLO burn
 rate of :mod:`repro.obs.slo` (``(target - fps) / target``).  Sustained
 burn above ``step_down_burn`` walks every interactive session one rung

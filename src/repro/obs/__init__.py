@@ -1,15 +1,17 @@
 """repro.obs — structured tracing, metrics, SLOs & decision audit.
 
-The subsystem has ten pieces:
+The subsystem has eleven pieces:
 
 * :mod:`repro.obs.tracer` — a lightweight virtual-time tracer (nested
   spans, instant events, counter samples) plus a zero-cost
   :class:`NullTracer` for disabled runs;
 * :mod:`repro.obs.chrome` — export to Chrome trace-event JSON, viewable
   in Perfetto / ``chrome://tracing``;
+* :mod:`repro.obs.probe` — the one observer clock: a grid probe that
+  reads service/cluster state once per tick and feeds the counter,
+  metric-window, timeline and stream sinks;
 * :mod:`repro.obs.counters` — built-in pressure counters (queue depth,
-  busy nodes, cache occupancy, in-flight I/O) sampled on the event
-  queue;
+  busy nodes, cache occupancy, in-flight I/O) sampled by the probe;
 * :mod:`repro.obs.profile` — aggregated per-node time breakdown
   (io / render / composite / idle fractions);
 * :mod:`repro.obs.metrics` — a virtual-time metrics registry (counters,
@@ -25,7 +27,7 @@ The subsystem has ten pieces:
   composite phases, plus the two-run divergence diff behind the
   ``repro explain`` CLI verb;
 * :mod:`repro.obs.stream` — the live telemetry bus: schema-versioned
-  NDJSON snapshots on the absolute sampler grid *while the run
+  NDJSON snapshots on the probe's metric-window grid *while the run
   executes*, wall-clock progress/ETA checkpoints, and a stall watchdog
   (the ``--stream`` flag and the ``repro watch`` verb);
 * :mod:`repro.obs.anomaly` — online anomaly detection over the
@@ -93,20 +95,18 @@ from repro.obs.counters import (
     TRACK_CACHE,
     TRACK_IO_INFLIGHT,
     TRACK_QUEUE,
-    CounterSampler,
-    default_counter_interval,
+    CounterSink,
 )
 from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    MetricsSampler,
     MetricWindow,
     RunMetrics,
-    default_window_interval,
     log_buckets,
 )
+from repro.obs.probe import Probe, Reading, default_interval
 from repro.obs.profile import ClusterProfile, NodeProfile
 from repro.obs.report import (
     render_federation_html,
@@ -127,7 +127,6 @@ from repro.obs.stream import (
     StreamConfig,
     StreamReport,
     TelemetryStream,
-    default_stream_interval,
     follow_stream,
     iter_jsonl,
     read_stream,
@@ -178,8 +177,10 @@ __all__ = [
     "chrome_trace_events",
     "to_chrome_trace",
     "write_chrome_trace",
-    "CounterSampler",
-    "default_counter_interval",
+    "Probe",
+    "Reading",
+    "default_interval",
+    "CounterSink",
     "STANDARD_TRACKS",
     "PER_NODE_TRACKS",
     "TRACK_QUEUE",
@@ -193,10 +194,8 @@ __all__ = [
     "Histogram",
     "log_buckets",
     "MetricsRegistry",
-    "MetricsSampler",
     "MetricWindow",
     "RunMetrics",
-    "default_window_interval",
     "SLObjective",
     "SLOMonitor",
     "SLOReport",
@@ -235,7 +234,6 @@ __all__ = [
     "StreamReport",
     "TelemetryStream",
     "StallWatchdog",
-    "default_stream_interval",
     "follow_stream",
     "iter_jsonl",
     "read_stream",

@@ -6,19 +6,15 @@ chunk cache sits, how many bytes of I/O are in flight.  These are the
 curves behind the paper's narrative — FCFS drowning the file server,
 OURS keeping caches warm and queues short.
 
-:class:`CounterSampler` rides the event queue at a fixed interval
-(exactly like :class:`~repro.reporting.timeline.TimelineSampler`) and
-emits one counter sample per track per tick into a
-:class:`~repro.obs.tracer.Tracer`.  Standard track names are module
-constants so tests and consumers don't hard-code strings.
+:class:`CounterSink` rides the run's counter-grid
+:class:`~repro.obs.probe.Probe` and emits one counter sample per track
+per tick into a :class:`~repro.obs.tracer.Tracer`.  Standard track names
+are module constants so tests and consumers don't hard-code strings.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.obs.tracer import PID_HEAD, Tracer, pid_for_node
-from repro.util.validation import check_positive
 
 #: Head-node track: jobs waiting for a scheduling trigger plus tasks the
 #: scheduler has deferred internally.
@@ -43,101 +39,62 @@ STANDARD_TRACKS = (TRACK_QUEUE, TRACK_BUSY_NODES, TRACK_IO_INFLIGHT)
 PER_NODE_TRACKS = (TRACK_CACHE,)
 
 
-class CounterSampler:
-    """Samples service/cluster pressure counters into a tracer.
+class CounterSink:
+    """Writes service/cluster pressure counters into a tracer.
+
+    A :class:`~repro.obs.probe.Probe` sink: each tick writes one sample
+    per track.
 
     Args:
         tracer: Destination for counter events.
-        interval: Simulated seconds between samples.
-        horizon: Optional stop time; the sampler also stops at full
-            quiescence so it never keeps a finished simulation alive.
         per_node_cache: Emit one ``cache bytes`` track per rendering
             node (on the node's own pid).  Disable for very large
             clusters where p tracks per tick would dominate the trace.
     """
 
-    def __init__(
-        self,
-        tracer: Tracer,
-        interval: float,
-        *,
-        horizon: Optional[float] = None,
-        per_node_cache: bool = True,
-    ) -> None:
-        check_positive("interval", interval)
+    windowed = False
+
+    def __init__(self, tracer: Tracer, *, per_node_cache: bool = True) -> None:
         self.tracer = tracer
-        self.interval = interval
-        self.horizon = horizon
         self.per_node_cache = per_node_cache
-        self.samples_taken = 0
-        self._service = None
-        self._start = 0.0
 
-    def attach(self, service) -> "CounterSampler":
-        """Start sampling ``service`` (call before running events)."""
-        self._service = service
-        events = service.cluster.events
-        self._start = events.now
-        self.samples_taken = 0
-        events.schedule(self._start, self._tick)
-        return self
-
-    def _tick(self) -> None:
-        service = self._service
-        cluster = service.cluster
+    def sample(self, reading, window) -> None:
+        """Probe sink: one sample per track at ``reading.time``."""
         tracer = self.tracer
-        now = cluster.events.now
+        now = reading.time
         tracer.counter(
             PID_HEAD,
             TRACK_QUEUE,
             now,
             {
-                "queued jobs": float(len(service._pending)),
-                "deferred tasks": float(service.scheduler.pending_task_count()),
-                "node backlog": float(cluster.total_backlog()),
+                "queued jobs": float(reading.queue_depth),
+                "deferred tasks": float(reading.deferred_tasks),
+                "node backlog": float(reading.backlog),
             },
         )
         tracer.counter(
             PID_HEAD,
             TRACK_BUSY_NODES,
             now,
-            {"busy": float(sum(1 for n in cluster.nodes if n.busy))},
+            {"busy": float(reading.busy_nodes)},
         )
-        storage = cluster.storage
         tracer.counter(
             PID_HEAD,
             TRACK_IO_INFLIGHT,
             now,
             {
-                "loads": float(storage.active_loads),
-                "MiB": storage.active_bytes / 2**20,
+                "loads": float(reading.io_loads),
+                "MiB": reading.io_inflight_bytes / 2**20,
             },
         )
         if self.per_node_cache:
-            for node in cluster.nodes:
+            for node_id, used in enumerate(reading.cache_used):
                 tracer.counter(
-                    pid_for_node(node.node_id),
+                    pid_for_node(node_id),
                     TRACK_CACHE,
                     now,
-                    {"used": float(node.cache.used_bytes)},
+                    {"used": float(used)},
                 )
-        self.samples_taken += 1
-        past_horizon = self.horizon is not None and now >= self.horizon
-        more_coming = service.has_work() or len(cluster.events) > 0
-        if more_coming and not past_horizon:
-            # Absolute-grid scheduling: sample k fires at exactly
-            # ``start + k*interval`` (no accumulated float drift).
-            cluster.events.schedule(
-                self._start + self.samples_taken * self.interval, self._tick
-            )
-
-
-def default_counter_interval(horizon: float, *, samples: int = 256) -> float:
-    """A sampling interval giving ~``samples`` ticks over ``horizon``.
-
-    Clamped below so degenerate horizons can't produce a zero interval.
-    """
-    return max(horizon / max(samples, 1), 1e-4)
 
 
 __all__ = [
@@ -147,6 +104,5 @@ __all__ = [
     "TRACK_CACHE",
     "STANDARD_TRACKS",
     "PER_NODE_TRACKS",
-    "CounterSampler",
-    "default_counter_interval",
+    "CounterSink",
 ]

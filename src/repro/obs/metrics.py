@@ -13,11 +13,11 @@ continuously-measured quantities behind the paper's evaluation
   extraction (job latency, scheduler invocation cost);
 * :class:`MetricsRegistry` — the namespace all of the above live in,
   with Prometheus-style text exposition and structured JSONL export;
-* :class:`MetricsSampler` — rides the event queue at a fixed interval
-  (exactly like :class:`~repro.obs.counters.CounterSampler`) and turns
-  counter deltas into per-window :class:`MetricWindow` rows: delivered
-  fps, latency quantiles, cache hit rate, I/O bytes per interval;
-* :class:`RunMetrics` — the bundle attached to
+* :class:`MetricWindow` — one grid window of delivered fps, latency
+  quantiles, cache hit rate and I/O bytes, closed by the run's
+  :class:`~repro.obs.probe.Probe`;
+* :class:`RunMetrics` — the probe sink that collects those windows and
+  refreshes the registry's pressure gauges, attached to
   :class:`~repro.sim.simulator.SimulationResult` as ``.metrics``.
 
 Disabled runs pay nothing: instrumentation sites hold ``None`` and
@@ -47,8 +47,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.core.cost_model import percentile
-from repro.core.job import JobType
 from repro.util.validation import check_positive
 
 #: Label sets are stored canonically as sorted ``(key, value)`` tuples.
@@ -435,119 +433,6 @@ class MetricWindow:
         }
 
 
-def default_window_interval(horizon: float, *, windows: int = 64) -> float:
-    """A window length giving ~``windows`` intervals over ``horizon``."""
-    return max(horizon / max(windows, 1), 1e-3)
-
-
-class MetricsSampler:
-    """Turns cumulative service/cluster state into per-window rows.
-
-    Rides the event queue at a fixed interval; each tick closes one
-    :class:`MetricWindow` from the deltas since the previous tick
-    (completions, latencies, cache hits, I/O bytes) and refreshes the
-    registry's pressure gauges.  Latency quantiles are computed exactly
-    from the jobs completed inside the window (the registry's latency
-    histogram keeps the whole-run distribution).
-    """
-
-    def __init__(
-        self,
-        registry: MetricsRegistry,
-        interval: float,
-        *,
-        horizon: Optional[float] = None,
-    ) -> None:
-        check_positive("interval", interval)
-        self.registry = registry
-        self.interval = interval
-        self.horizon = horizon
-        self.windows: List[MetricWindow] = []
-        self._service = None
-        self._start = 0.0
-        self._ticks = 0
-        self._last_time = 0.0
-        self._last_records = 0
-        self._last_hits = 0
-        self._last_misses = 0
-        self._last_io_bytes = 0
-        self._g_queue = registry.gauge(
-            "repro_queue_depth", "jobs queued at the head node"
-        )
-        self._g_busy = registry.gauge(
-            "repro_busy_nodes", "rendering nodes with a busy pipeline"
-        )
-        self._g_cache = registry.gauge(
-            "repro_cache_used_bytes", "bytes resident across node chunk caches"
-        )
-
-    def attach(self, service) -> "MetricsSampler":
-        """Start sampling ``service`` (call before running events)."""
-        self._service = service
-        events = service.cluster.events
-        self._start = events.now
-        self._ticks = 0
-        events.schedule(self._start, self._tick)
-        return self
-
-    def _tick(self) -> None:
-        service = self._service
-        cluster = service.cluster
-        now = cluster.events.now
-        records = service.collector.records
-        hits = sum(n.cache_hits for n in cluster.nodes)
-        misses = sum(n.cache_misses for n in cluster.nodes)
-        io_bytes = cluster.storage.total_bytes
-
-        if now > self._last_time:
-            fresh = records[self._last_records :]
-            latencies = sorted(r.latency for r in fresh)
-            interactive = sum(
-                1 for r in fresh if r.job_type is JobType.INTERACTIVE
-            )
-            d_hits = hits - self._last_hits
-            d_misses = misses - self._last_misses
-            d_tasks = d_hits + d_misses
-            duration = now - self._last_time
-            self.windows.append(
-                MetricWindow(
-                    start=self._last_time,
-                    end=now,
-                    jobs_completed=len(fresh),
-                    interactive_completed=interactive,
-                    batch_completed=len(fresh) - interactive,
-                    fps=interactive / duration,
-                    latency_p50=percentile(latencies, 50),
-                    latency_p95=percentile(latencies, 95),
-                    latency_p99=percentile(latencies, 99),
-                    cache_hits=d_hits,
-                    cache_misses=d_misses,
-                    hit_rate=d_hits / d_tasks if d_tasks else 0.0,
-                    io_bytes=io_bytes - self._last_io_bytes,
-                )
-            )
-        self._last_time = now
-        self._last_records = len(records)
-        self._last_hits = hits
-        self._last_misses = misses
-        self._last_io_bytes = io_bytes
-
-        self._g_queue.set(float(len(service._pending)))
-        self._g_busy.set(float(sum(1 for n in cluster.nodes if n.busy)))
-        self._g_cache.set(float(sum(n.cache.used_bytes for n in cluster.nodes)))
-
-        past_horizon = self.horizon is not None and now >= self.horizon
-        more_coming = service.has_work() or len(cluster.events) > 0
-        if more_coming and not past_horizon:
-            # Tick k lands at the absolute ``start + k*interval`` grid
-            # point; rescheduling via ``schedule_after`` would compound
-            # float error across thousands of ticks and drift off-grid.
-            self._ticks += 1
-            cluster.events.schedule(
-                self._start + self._ticks * self.interval, self._tick
-            )
-
-
 # ---------------------------------------------------------------------------
 # Per-run bundle
 # ---------------------------------------------------------------------------
@@ -559,13 +444,39 @@ class RunMetrics:
 
     Attached to :class:`~repro.sim.simulator.SimulationResult` as
     ``.metrics`` when the run was started with ``metrics=True`` (or an
-    explicit registry).
+    explicit registry).  During the run it is a
+    :class:`~repro.obs.probe.Probe` sink: each tick appends the closed
+    window and refreshes the registry's pressure gauges.
     """
 
     registry: MetricsRegistry
     windows: List[MetricWindow] = field(default_factory=list)
     scenario: str = ""
     scheduler: str = ""
+
+    windowed = True
+
+    def __post_init__(self) -> None:
+        registry = self.registry
+        self._gauges = (
+            registry.gauge("repro_queue_depth", "jobs queued at the head node"),
+            registry.gauge(
+                "repro_busy_nodes", "rendering nodes with a busy pipeline"
+            ),
+            registry.gauge(
+                "repro_cache_used_bytes",
+                "bytes resident across node chunk caches",
+            ),
+        )
+
+    def sample(self, reading, window: Optional[MetricWindow]) -> None:
+        """Probe sink: keep ``window``, set the pressure gauges."""
+        if window is not None:
+            self.windows.append(window)
+        queue, busy, cache = self._gauges
+        queue.set(float(reading.queue_depth))
+        busy.set(float(reading.busy_nodes))
+        cache.set(float(sum(reading.cache_used)))
 
     def window_series(self, name: str) -> List[float]:
         """Extract one :class:`MetricWindow` field across the run."""
@@ -614,7 +525,5 @@ __all__ = [
     "log_buckets",
     "MetricsRegistry",
     "MetricWindow",
-    "MetricsSampler",
-    "default_window_interval",
     "RunMetrics",
 ]

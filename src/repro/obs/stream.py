@@ -8,13 +8,11 @@ see progress, stalls, and emerging anomalies while a fleet-scale
 simulation is still executing:
 
 * :class:`StreamConfig` — where to stream and at what cadence;
-* :class:`TelemetryStream` — rides the event queue on the absolute
-  ``start + k * interval`` sampler grid (the PR-4 drift-free
-  discipline), closing one ``snapshot`` record per tick from the deltas
-  since the previous tick — the exact window arithmetic
-  :class:`~repro.obs.metrics.MetricsSampler` uses, so streamed counters
-  equal the post-hoc series at identical grid points — plus wall-clock
-  ``wall`` checkpoint records (events/s, ETA extrapolation);
+* :class:`TelemetryStream` — a sink of the run's metric-window
+  :class:`~repro.obs.probe.Probe`, writing one ``snapshot`` record per
+  closed window (the same window the metrics layer keeps, so streamed
+  counters equal the post-hoc series) plus wall-clock ``wall``
+  checkpoint records (events/s, ETA extrapolation);
 * :class:`StallWatchdog` — a daemon thread that notices when *wall*
   time passes without any event draining and dumps queue-head/in-flight
   diagnostics (a ``stall`` record) so a hung run explains itself;
@@ -46,7 +44,7 @@ in the run header:
 Writes are flushed per record, so a reader tailing the file (or the
 post-crash forensics) always sees every completed record.  The off
 path costs nothing: ``RunConfig(stream=None)`` constructs nothing, and
-a streamed run is bit-identical to an unstreamed one — snapshot ticks
+a streamed run is bit-identical to an unstreamed one — probe ticks
 are pure observers on the event queue, pinned by the golden-trace
 hashes.
 """
@@ -61,34 +59,22 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Union
 
-from repro.core.cost_model import percentile
-from repro.core.job import JobType
 from repro.util.validation import check_positive
 
 #: NDJSON schema version stamped in every stream's ``run`` header.
 STREAM_SCHEMA = 1
 
 
-def default_stream_interval(horizon: float, *, samples: int = 64) -> float:
-    """A grid interval giving ~``samples`` snapshots over ``horizon``.
-
-    Matches :func:`repro.obs.metrics.default_window_interval` so a
-    default-cadence stream and a default-cadence metrics sampler land
-    on the same absolute grid.
-    """
-    return max(horizon / max(samples, 1), 1e-3)
-
-
 @dataclass(frozen=True)
 class StreamConfig:
     """How one run streams live telemetry.
 
+    Snapshots ride the metric-window grid (~64 ticks over the horizon,
+    see :func:`~repro.obs.probe.default_interval`).
+
     Attributes:
         path: NDJSON output file (created/truncated at run start; parent
             directories are created).
-        interval: Snapshot grid interval in simulated seconds; ``None``
-            derives ~64 snapshots from the horizon (the metrics-sampler
-            default, so the two grids coincide).
         wall_interval: Wall-clock seconds between ``wall`` checkpoint
             records (progress/ETA for a human tailing the file).
             Checkpoints piggyback on grid ticks — they never add events.
@@ -104,15 +90,12 @@ class StreamConfig:
     """
 
     path: Union[str, Path]
-    interval: Optional[float] = None
     wall_interval: float = 1.0
     stall_timeout: Optional[float] = None
     anomalies: bool = True
     anomaly_config: Optional[object] = None
 
     def __post_init__(self) -> None:
-        if self.interval is not None:
-            check_positive("interval", self.interval)
         check_positive("wall_interval", self.wall_interval)
         if self.stall_timeout is not None:
             check_positive("stall_timeout", self.stall_timeout)
@@ -128,7 +111,6 @@ class StreamConfig:
         suffix = path.suffix or ".ndjson"
         return StreamConfig(
             path=path.with_name(f"{path.stem}.shard{shard}{suffix}"),
-            interval=self.interval,
             wall_interval=self.wall_interval,
             stall_timeout=self.stall_timeout,
             anomalies=self.anomalies,
@@ -366,12 +348,10 @@ class StreamReport:
 class TelemetryStream:
     """Streams one run's telemetry as NDJSON while the run executes.
 
-    Rides the event queue at a fixed interval on the absolute
-    ``start + k * interval`` grid (no accumulated float drift) — the
-    same discipline as :class:`~repro.obs.metrics.MetricsSampler`, with
-    identical window arithmetic, so the streamed counter snapshots are
-    exactly the post-hoc window series when the two grids coincide.
-    Each tick additionally checks the wall clock and, when
+    A :class:`~repro.obs.probe.Probe` sink.  The run's metric-window
+    probe hands it each tick's reading and closed window, so the
+    streamed ``snapshot`` records carry exactly the post-hoc window
+    series.  Each tick additionally checks the wall clock and, when
     ``wall_interval`` has passed, appends a ``wall`` checkpoint with
     events/s and the ETA extrapolation.
 
@@ -379,12 +359,22 @@ class TelemetryStream:
     separated from wall-clock fields by construction: the anomaly
     detectors consume only the former, so anomaly records are
     bit-reproducible across machines.
+
+    Args:
+        config: Where and how to stream.
+        interval: The probe's grid interval (stamped in the header).
+        scenario, scheduler, horizon, target_framerate, job_namespace:
+            Run identity for the header (``target_framerate`` also
+            drives the burn rate and the anomaly detectors).
     """
+
+    windowed = True
 
     def __init__(
         self,
         config: StreamConfig,
         *,
+        interval: float,
         scenario: str = "",
         scheduler: str = "",
         horizon: Optional[float] = None,
@@ -395,25 +385,16 @@ class TelemetryStream:
         self.path = Path(config.path)
         self.horizon = horizon
         self.target_framerate = target_framerate
-        interval = config.interval
-        if interval is None:
-            interval = default_stream_interval(
-                horizon if horizon is not None else 60.0
-            )
-        self.interval = interval
-        self._writer = _StreamWriter(self.path)
-        self._writer.write(
-            {
-                "type": "run",
-                "schema": STREAM_SCHEMA,
-                "scenario": scenario,
-                "scheduler": scheduler,
-                "horizon": horizon,
-                "interval": interval,
-                "target_fps": target_framerate,
-                "shard": job_namespace,
-            }
-        )
+        self._header = {
+            "type": "run",
+            "schema": STREAM_SCHEMA,
+            "scenario": scenario,
+            "scheduler": scheduler,
+            "horizon": horizon,
+            "interval": interval,
+            "target_fps": target_framerate,
+            "shard": job_namespace,
+        }
         self.detector = None
         if config.anomalies:
             from repro.obs.anomaly import AnomalyConfig, OnlineAnomalyDetector
@@ -426,27 +407,29 @@ class TelemetryStream:
         self.watchdog: Optional[StallWatchdog] = None
         self.snapshots = 0
         self.anomalies: List = []
+        self._writer: Optional[_StreamWriter] = None
         self._service = None
         self._start = 0.0
-        self._ticks = 0
-        self._last_time = 0.0
         self._last_events = 0
-        self._last_records = 0
-        self._last_hits = 0
-        self._last_misses = 0
-        self._last_io_bytes = 0
         self._wall_start = 0.0
         self._next_wall = 0.0
         self._closed = False
 
     # -- lifecycle ---------------------------------------------------------
 
-    def note_injections(self, injections) -> None:
-        """Record the fault plan's ground-truth markers (arm time).
+    def attach(self, service, injections=()) -> "TelemetryStream":
+        """Open the stream for ``service`` (call before running events).
 
-        Written up front so ``repro watch`` can show planned faults
-        before they strike; the anomaly detectors never read them.
+        Writes the ``run`` header and one ``fault`` record per planned
+        injection (ground-truth markers for ``repro watch``; the anomaly
+        detectors never read them), then starts the wall clock and the
+        stall watchdog.
         """
+        self._service = service
+        events = service.cluster.events
+        self._start = events.now
+        self._writer = _StreamWriter(self.path)
+        self._writer.write(self._header)
         for injection in injections:
             self._writer.write(
                 {
@@ -457,17 +440,8 @@ class TelemetryStream:
                     "until": injection.until,
                 }
             )
-
-    def attach(self, service) -> "TelemetryStream":
-        """Start streaming ``service`` (call before running events)."""
-        self._service = service
-        events = service.cluster.events
-        self._start = events.now
-        self._last_time = events.now
-        self._ticks = 0
         self._wall_start = _time.perf_counter()
         self._next_wall = self.config.wall_interval
-        events.schedule(self._start, self._tick)
         if self.config.stall_timeout is not None:
             self.watchdog = StallWatchdog(
                 events, service, self._writer, self.config.stall_timeout
@@ -522,50 +496,33 @@ class TelemetryStream:
 
     # -- sampling ----------------------------------------------------------
 
-    def _tick(self) -> None:
-        service = self._service
-        cluster = service.cluster
-        events = cluster.events
-        now = events.now
-        records = service.collector.records
-        hits = sum(n.cache_hits for n in cluster.nodes)
-        misses = sum(n.cache_misses for n in cluster.nodes)
-        io_bytes = cluster.storage.total_bytes
-        processed = events.processed
-
-        if now > self._last_time:
-            fresh = records[self._last_records:]
-            latencies = sorted(r.latency for r in fresh)
-            interactive = sum(
-                1 for r in fresh if r.job_type is JobType.INTERACTIVE
-            )
-            d_hits = hits - self._last_hits
-            d_misses = misses - self._last_misses
-            d_tasks = d_hits + d_misses
-            duration = now - self._last_time
-            fps = interactive / duration
+    def sample(self, reading, window) -> None:
+        """Probe sink: one ``snapshot`` per closed window, plus any due
+        ``anomaly`` and ``wall`` records."""
+        processed = reading.events
+        if window is not None:
             snapshot = {
                 "type": "snapshot",
-                "t": now,
-                "start": self._last_time,
+                "t": window.end,
+                "start": window.start,
                 "events": processed,
                 "d_events": processed - self._last_events,
-                "queue": service.queue_depth,
-                "outstanding": service.outstanding_jobs,
-                "inflight": service.tasks_inflight,
-                "submitted": service.jobs_submitted,
-                "completed": service.jobs_completed,
-                "jobs_completed": len(fresh),
-                "interactive_completed": interactive,
-                "fps": fps,
-                "latency_p50": percentile(latencies, 50),
-                "latency_p95": percentile(latencies, 95),
-                "latency_p99": percentile(latencies, 99),
-                "cache_hits": d_hits,
-                "cache_misses": d_misses,
-                "hit_rate": d_hits / d_tasks if d_tasks else 0.0,
-                "io_bytes": io_bytes - self._last_io_bytes,
-                "burn": self._burn(fps),
+                "queue": reading.queue_depth,
+                "outstanding": reading.jobs_submitted - reading.jobs_completed,
+                "inflight": reading.tasks_inflight,
+                "submitted": reading.jobs_submitted,
+                "completed": reading.jobs_completed,
+                "jobs_completed": window.jobs_completed,
+                "interactive_completed": window.interactive_completed,
+                "fps": window.fps,
+                "latency_p50": window.latency_p50,
+                "latency_p95": window.latency_p95,
+                "latency_p99": window.latency_p99,
+                "cache_hits": window.cache_hits,
+                "cache_misses": window.cache_misses,
+                "hit_rate": window.hit_rate,
+                "io_bytes": window.io_bytes,
+                "burn": self._burn(window.fps),
                 "wall_s": _time.perf_counter() - self._wall_start,
             }
             self._writer.write(snapshot)
@@ -574,29 +531,16 @@ class TelemetryStream:
                 for anomaly in self.detector.observe(snapshot):
                     self.anomalies.append(anomaly)
                     self._writer.write(anomaly.to_dict())
-        self._last_time = now
         self._last_events = processed
-        self._last_records = len(records)
-        self._last_hits = hits
-        self._last_misses = misses
-        self._last_io_bytes = io_bytes
 
         wall = _time.perf_counter() - self._wall_start
         if wall >= self._next_wall:
-            self._wall_checkpoint(now, processed, wall)
+            self._wall_checkpoint(reading.time, processed, wall)
             # Skip any checkpoints the run blew past (a slow stretch
             # should not trigger a burst of catch-up records).
             self._next_wall = (
                 math.floor(wall / self.config.wall_interval) + 1
             ) * self.config.wall_interval
-
-        past_horizon = self.horizon is not None and now >= self.horizon
-        more_coming = service.has_work() or len(events) > 0
-        if more_coming and not past_horizon:
-            # Absolute grid: tick k lands at start + k*interval exactly
-            # (the PR-4 no-drift discipline).
-            self._ticks += 1
-            events.schedule(self._start + self._ticks * self.interval, self._tick)
 
     def _burn(self, fps: float) -> float:
         """Windowed fps burn rate: target / delivered (0 = no target)."""
@@ -634,7 +578,6 @@ __all__ = [
     "StreamReport",
     "TelemetryStream",
     "StallWatchdog",
-    "default_stream_interval",
     "follow_stream",
     "iter_jsonl",
     "read_stream",

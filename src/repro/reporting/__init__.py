@@ -14,7 +14,7 @@ from repro.reporting.collectors import (
     SchedulingCostStats,
     SimulationCollector,
 )
-from repro.reporting.timeline import TimelineSample, TimelineSampler, sparkline
+from repro.reporting.timeline import TimelineSample, TimelineSeries, sparkline
 from repro.reporting.report import (
     comparison_table,
     hit_rate_table,
@@ -34,7 +34,7 @@ __all__ = [
     "SchedulingCostStats",
     "SimulationCollector",
     "TimelineSample",
-    "TimelineSampler",
+    "TimelineSeries",
     "sparkline",
     "comparison_table",
     "hit_rate_table",

@@ -2,18 +2,17 @@
 
 The evaluation's aggregate numbers (mean framerate, mean latency) hide
 the *dynamics* — warm-up transients, batch-induced stalls, backlog
-growth under overload.  A :class:`TimelineSampler` rides the event
-queue at a fixed interval and records per-sample snapshots: node
-backlog, busy nodes, jobs completed, cache hit counts.  The text
-sparkline renderer makes the series readable in a terminal report.
+growth under overload.  A :class:`TimelineSeries` rides a
+:class:`~repro.obs.probe.Probe` at the run's ``timeline_interval`` and
+records per-tick snapshots: node backlog, busy nodes, jobs completed,
+cache hit counts.  The text sparkline renderer makes the series
+readable in a terminal report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
-
-from repro.util.validation import check_positive
+from typing import List, Sequence
 
 _SPARK_CHARS = " .:-=+*#%@"
 
@@ -36,60 +35,31 @@ class TimelineSample:
         return self.tasks_hit + self.tasks_missed
 
 
-class TimelineSampler:
-    """Samples a running :class:`~repro.sim.service.VisualizationService`.
+class TimelineSeries:
+    """Timeline samples of one run (``result.timeline_samples``).
 
-    The sampler reschedules itself while the service has work (or until
-    ``horizon``), so it never keeps an otherwise-finished simulation
-    alive.
+    A :class:`~repro.obs.probe.Probe` sink: each tick appends one
+    :class:`TimelineSample`.
     """
 
-    def __init__(self, interval: float, *, horizon: Optional[float] = None) -> None:
-        check_positive("interval", interval)
-        self.interval = interval
-        self.horizon = horizon
+    windowed = False
+
+    def __init__(self) -> None:
         self.samples: List[TimelineSample] = []
-        self._service = None
-        self._start = 0.0
-        self._ticks = 0
 
-    def attach(self, service) -> "TimelineSampler":
-        """Start sampling ``service`` (call before running events)."""
-        self._service = service
-        events = service.cluster.events
-        self._start = events.now
-        self._ticks = 0
-        events.schedule(self._start, self._tick)
-        return self
-
-    def _tick(self) -> None:
-        service = self._service
-        cluster = service.cluster
-        now = cluster.events.now
+    def sample(self, reading, window) -> None:
+        """Probe sink: record ``reading`` as one sample."""
         self.samples.append(
             TimelineSample(
-                time=now,
-                backlog_tasks=cluster.total_backlog(),
-                busy_nodes=sum(1 for n in cluster.nodes if n.busy),
-                jobs_completed=service.jobs_completed,
-                tasks_hit=sum(n.cache_hits for n in cluster.nodes),
-                tasks_missed=sum(n.cache_misses for n in cluster.nodes),
-                scheduler_pending=service.scheduler.pending_task_count(),
+                time=reading.time,
+                backlog_tasks=reading.backlog,
+                busy_nodes=reading.busy_nodes,
+                jobs_completed=reading.jobs_completed,
+                tasks_hit=reading.cache_hits,
+                tasks_missed=reading.cache_misses,
+                scheduler_pending=reading.deferred_tasks,
             )
         )
-        past_horizon = self.horizon is not None and now >= self.horizon
-        # Keep ticking while the service has in-flight work OR future
-        # events (e.g. request arrivals) are still queued; stop at the
-        # horizon or at full quiescence so the sampler never keeps a
-        # finished simulation alive.
-        more_coming = service.has_work() or len(cluster.events) > 0
-        if more_coming and not past_horizon:
-            # Absolute-grid scheduling: tick k fires at exactly
-            # ``start + k*interval`` (no accumulated float drift).
-            self._ticks += 1
-            cluster.events.schedule(
-                self._start + self._ticks * self.interval, self._tick
-            )
 
     # -- series accessors -----------------------------------------------------
 
@@ -133,4 +103,4 @@ def sparkline(values: Sequence[float], *, width: int = 60) -> str:
     return f"[{''.join(chars)}] min={vmin:g} max={vmax:g}"
 
 
-__all__ = ["TimelineSample", "TimelineSampler", "sparkline"]
+__all__ = ["TimelineSample", "TimelineSeries", "sparkline"]

@@ -46,14 +46,12 @@ class RunConfig:
             the plan carries them).  ``None`` (default) is
             bit-identical to a run without the subsystem.
         tracer: Optional :class:`~repro.obs.tracer.Tracer` recording
-            spans and counter tracks.
-        counter_interval: Sampling period of the tracer's counter
-            tracks (defaults to ~256 samples over the horizon).
+            spans and counter tracks (sampled ~256 times over the
+            horizon).
         metrics: ``True`` or an explicit
             :class:`~repro.obs.metrics.MetricsRegistry` enables the
-            metrics layer (``result.metrics``).
-        metrics_interval: Length of one metrics aggregation window in
-            simulated seconds (defaults to ~64 windows).
+            metrics layer (``result.metrics``, ~64 windows over the
+            horizon).
         frontend: Optional
             :class:`~repro.frontend.config.FrontendConfig` placing the
             overload-management frontend (admission control,
@@ -95,9 +93,7 @@ class RunConfig:
     storage_seed: int = 0
     timeline_interval: Optional[float] = None
     tracer: Optional["Tracer"] = None
-    counter_interval: Optional[float] = None
     metrics: Union[bool, "MetricsRegistry"] = False
-    metrics_interval: Optional[float] = None
     frontend: Optional["FrontendConfig"] = None
     record_assignments: bool = False
     audit: Union[bool, "AuditConfig"] = False

@@ -42,17 +42,21 @@ from repro.reporting.analysis import (
     summarize,
 )
 from repro.reporting.collectors import JobRecord, SimulationCollector
-from repro.reporting.timeline import TimelineSampler
+from repro.reporting.timeline import TimelineSeries
 from repro.obs.audit import AuditConfig, AuditLog
 from repro.obs.causal import CausalCollector, CriticalPathAnalysis
-from repro.obs.counters import CounterSampler, default_counter_interval
-from repro.obs.metrics import (
-    MetricsRegistry,
-    MetricsSampler,
-    RunMetrics,
-    default_window_interval,
+from repro.obs.counters import CounterSink
+from repro.obs.metrics import MetricsRegistry, RunMetrics
+from repro.obs.probe import (
+    COUNTER_FLOOR,
+    COUNTER_TICKS,
+    WINDOW_FLOOR,
+    WINDOW_TICKS,
+    Probe,
+    default_interval,
 )
 from repro.obs.profile import ClusterProfile
+from repro.obs.stream import TelemetryStream
 from repro.obs.tracer import PID_HEAD, Tracer, active_tracer, pid_for_node
 from repro.frontend.frontend import FrontendStats, ServiceFrontend
 from repro.sim.run_config import RunConfig
@@ -108,7 +112,7 @@ class SimulationResult:
     tasks_executed: int = 0
     tasks_hit: int = 0
     tasks_missed: int = 0
-    timeline_samples: Optional["TimelineSampler"] = None
+    timeline_samples: Optional["TimelineSeries"] = None
     profile: Optional["ClusterProfile"] = None
     tracer: Optional["Tracer"] = None
     metrics: Optional["RunMetrics"] = None
@@ -347,22 +351,21 @@ def _run(
             metrics=registry,
             audit=audit_log,
         )
-    metrics_sampler: Optional[MetricsSampler] = None
+    # Observers: every sink rides the probe of its grid interval, one
+    # probe (one event per tick) per distinct interval.
+    duration = scenario.trace.duration
+    observed_horizon = None if drain else duration
+    window_grid = default_interval(duration, WINDOW_TICKS, WINDOW_FLOOR)
+    grids: Dict[float, list] = {}
+    run_metrics: Optional[RunMetrics] = None
     if registry is not None:
         for node in cluster.nodes:
             node.set_metrics(registry)
         cluster.storage.set_metrics(registry)
-        horizon_hint = scenario.trace.duration
-        window = (
-            config.metrics_interval
-            if config.metrics_interval is not None
-            else default_window_interval(horizon_hint)
+        run_metrics = RunMetrics(
+            registry, scenario=scenario.name, scheduler=scheduler.name
         )
-        metrics_sampler = MetricsSampler(
-            registry, window, horizon=None if drain else horizon_hint
-        )
-        metrics_sampler.attach(service)
-    counter_sampler: Optional[CounterSampler] = None
+        grids.setdefault(window_grid, []).append(run_metrics)
     if live_tracer is not None:
         live_tracer.name_process(PID_HEAD, "head node")
         for node in cluster.nodes:
@@ -372,19 +375,28 @@ def _run(
             node.set_tracer(live_tracer)
             if audit_log is not None:
                 node.set_flow_events(True)
-        horizon_hint = scenario.trace.duration
-        interval = (
-            config.counter_interval
-            if config.counter_interval is not None
-            else default_counter_interval(horizon_hint)
+        counter_grid = default_interval(duration, COUNTER_TICKS, COUNTER_FLOOR)
+        grids.setdefault(counter_grid, []).append(
+            CounterSink(live_tracer, per_node_cache=cluster.node_count <= 16)
         )
-        counter_sampler = CounterSampler(
-            live_tracer,
-            interval,
-            horizon=None if drain else horizon_hint,
-            per_node_cache=cluster.node_count <= 16,
+    timeline: Optional[TimelineSeries] = None
+    if config.timeline_interval is not None:
+        timeline = TimelineSeries()
+        grids.setdefault(config.timeline_interval, []).append(timeline)
+    stream: Optional[TelemetryStream] = None
+    if config.stream is not None:
+        stream = TelemetryStream(
+            config.stream,
+            interval=window_grid,
+            scenario=scenario.name,
+            scheduler=scheduler.name,
+            horizon=observed_horizon,
+            target_framerate=scenario.target_framerate,
+            job_namespace=config.job_namespace,
         )
-        counter_sampler.attach(service)
+        grids.setdefault(window_grid, []).append(stream)
+    for interval, sinks in grids.items():
+        Probe(interval, sinks, horizon=observed_horizon).attach(service)
     assignment_trace: Optional[List[AssignmentRecord]] = None
     if config.record_assignments:
         assignment_trace = []
@@ -411,11 +423,6 @@ def _run(
         cluster.add_task_finish_listener(_record_assignment)
     if scenario.prewarm:
         service.prewarm(scenario.trace.datasets)
-    sampler: Optional[TimelineSampler] = None
-    if config.timeline_interval is not None:
-        horizon_hint = None if drain else scenario.trace.duration
-        sampler = TimelineSampler(config.timeline_interval, horizon=horizon_hint)
-        sampler.attach(service)
 
     fault_runtime = None
     if config.faults is not None:
@@ -433,33 +440,11 @@ def _run(
         )
         fault_runtime.arm()
 
-    stream = None
-    if config.stream is not None:
-        # Lazy import like the fault subsystem: stream-off runs never
-        # touch the module.  The stream's grid ticks are pure observers
-        # on the event queue, so streamed runs stay bit-identical to
-        # unstreamed ones (pinned by the golden-trace tests).
-        import dataclasses as _dc
-
-        from repro.obs.stream import TelemetryStream, default_stream_interval
-
-        stream_cfg = config.stream
-        if stream_cfg.interval is None:
-            stream_cfg = _dc.replace(
-                stream_cfg,
-                interval=default_stream_interval(scenario.trace.duration),
-            )
-        stream = TelemetryStream(
-            stream_cfg,
-            scenario=scenario.name,
-            scheduler=scheduler.name,
-            horizon=None if drain else scenario.trace.duration,
-            target_framerate=scenario.target_framerate,
-            job_namespace=config.job_namespace,
+    if stream is not None:
+        stream.attach(
+            service,
+            fault_runtime.report.injections if fault_runtime is not None else (),
         )
-        if fault_runtime is not None:
-            stream.note_injections(fault_runtime.report.injections)
-        stream.attach(service)
 
     submit = (
         frontend.submit_request if frontend is not None else service.submit_request
@@ -540,19 +525,10 @@ def _run(
         tasks_executed=sum(n.tasks_executed for n in cluster.nodes),
         tasks_hit=sum(n.cache_hits for n in cluster.nodes),
         tasks_missed=sum(n.cache_misses for n in cluster.nodes),
-        timeline_samples=sampler,
+        timeline_samples=timeline,
         profile=ClusterProfile.from_cluster(cluster, max(events.now, 1e-9)),
         tracer=live_tracer,
-        metrics=(
-            RunMetrics(
-                registry=registry,
-                windows=metrics_sampler.windows if metrics_sampler else [],
-                scenario=scenario.name,
-                scheduler=scheduler.name,
-            )
-            if registry is not None
-            else None
-        ),
+        metrics=run_metrics,
         frontend=frontend.stats() if frontend is not None else None,
         assignment_trace=assignment_trace,
         audit=audit_log,

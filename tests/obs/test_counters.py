@@ -1,15 +1,19 @@
-"""CounterSampler: built-in pressure counters on a live simulation."""
+"""Counter tracks: built-in pressure counters on a live simulation."""
 
+from repro.cluster.event_queue import EventQueue
+from repro.core.registry import make_scheduler
 from repro.obs.counters import (
     STANDARD_TRACKS,
     TRACK_BUSY_NODES,
     TRACK_CACHE,
     TRACK_IO_INFLIGHT,
     TRACK_QUEUE,
-    default_counter_interval,
+    CounterSink,
 )
+from repro.obs.probe import Probe
 from repro.obs.tracer import PID_HEAD, Tracer
 from repro.sim.run_config import RunConfig
+from repro.sim.service import VisualizationService
 from repro.sim.simulator import run_simulation
 from repro.workload.scenarios import scenario_1
 
@@ -47,14 +51,31 @@ class TestCounterSampler:
                 assert e.args["busy"] <= 8
 
     def test_sampling_respects_interval(self):
-        tracer, result = traced_run(counter_interval=0.5)
-        queue_samples = [
-            e for e in tracer.events if e.phase == "C" and e.name == TRACK_QUEUE
+        scenario = scenario_1(scale=0.05)
+        events = EventQueue()
+        service = VisualizationService(
+            scenario.system.build_cluster(events=events),
+            make_scheduler("OURS"),
+            scenario.system.chunk_max,
+        )
+        tracer = Tracer()
+        horizon = scenario.trace.duration
+        Probe(0.5, [CounterSink(tracer)], horizon=horizon).attach(service)
+        datasets = {d.name: d for d in scenario.trace.datasets}
+        for request in scenario.trace.requests:
+            events.schedule(
+                request.time,
+                service.submit_request,
+                request,
+                datasets[request.dataset],
+            )
+        service.start()
+        events.run(until=horizon)
+        times = [
+            e.ts for e in tracer.events if e.phase == "C" and e.name == TRACK_QUEUE
         ]
-        # horizon 3s at scale 0.05 → ~7 samples, certainly < 20
-        assert 2 <= len(queue_samples) <= 20
-        times = [e.ts for e in queue_samples]
-        assert times == sorted(times)
+        # horizon 3s at scale 0.05 → ticks at 0, 0.5, ..., 3.0
+        assert times == [k * 0.5 for k in range(int(horizon / 0.5) + 1)]
 
     def test_io_inflight_track_exists(self):
         tracer, _ = traced_run()
@@ -62,11 +83,3 @@ class TestCounterSampler:
             e.phase == "C" and e.name == TRACK_IO_INFLIGHT for e in tracer.events
         )
 
-
-class TestDefaultInterval:
-    def test_scales_with_horizon(self):
-        assert default_counter_interval(256.0) == 1.0
-        assert default_counter_interval(0.0) == 1e-4
-
-    def test_never_zero(self):
-        assert default_counter_interval(1e-9) > 0

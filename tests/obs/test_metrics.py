@@ -12,7 +12,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     MetricWindow,
-    default_window_interval,
     log_buckets,
 )
 from repro.sim.run_config import RunConfig
@@ -193,11 +192,6 @@ class TestRegistry:
         assert rows["repro_jobs"]["value"] == 1.0
         assert rows["repro_lat"]["count"] == 1
         assert rows["repro_lat"]["p99"] == pytest.approx(1.0)
-
-
-def test_default_window_interval():
-    assert default_window_interval(64.0) == pytest.approx(1.0)
-    assert default_window_interval(0.0) == pytest.approx(1e-3)
 
 
 def test_metric_window_event_roundtrip():

@@ -1,17 +1,28 @@
-"""Samplers must tick on the exact ``start + k*interval`` grid.
+"""The probe must tick on the exact ``start + k*interval`` grid.
 
 Regression tests for tick drift: rescheduling each tick with
 ``schedule_after(interval)`` accumulates float rounding error, so after
-thousands of ticks samples land off-grid (and two samplers with the same
-interval disagree about window boundaries).  The samplers now compute
-the k-th tick time from the tick index; these tests pin that with exact
-float equality over 10k ticks.
+thousands of ticks samples land off-grid (and two sinks with the same
+interval disagree about window boundaries).  The probe computes the
+k-th tick time from the tick index; these tests pin that with exact
+float equality over 10k ticks, for each of the four sinks.
 """
 
+import pytest
+
 from repro.cluster.event_queue import EventQueue
-from repro.obs.counters import TRACK_QUEUE, CounterSampler
-from repro.obs.metrics import MetricsRegistry, MetricsSampler
-from repro.reporting.timeline import TimelineSampler
+from repro.obs.counters import TRACK_QUEUE, CounterSink
+from repro.obs.metrics import MetricsRegistry, RunMetrics
+from repro.obs.probe import (
+    COUNTER_FLOOR,
+    COUNTER_TICKS,
+    WINDOW_FLOOR,
+    WINDOW_TICKS,
+    Probe,
+    default_interval,
+)
+from repro.obs.stream import StreamConfig, TelemetryStream, read_stream
+from repro.reporting.timeline import TimelineSeries
 
 
 class FakeStorage:
@@ -48,8 +59,10 @@ class FakeService:
         self.cluster = FakeCluster()
         self.collector = FakeCollector()
         self.scheduler = FakeScheduler()
-        self._pending = []
+        self.queue_depth = 0
+        self.jobs_submitted = 0
         self.jobs_completed = 0
+        self.tasks_inflight = 0
 
     def has_work(self):
         return True
@@ -68,57 +81,119 @@ TICKS = 10_000
 INTERVAL = 0.25
 
 
-class TestTimelineSamplerGrid:
-    def test_10k_ticks_land_exactly_on_grid(self):
-        service = FakeService()
-        sampler = TimelineSampler(INTERVAL).attach(service)
-        service.cluster.events.run(max_events=TICKS + 1)
-        assert len(sampler.samples) == TICKS + 1
-        for k, sample in enumerate(sampler.samples):
-            assert sample.time == k * INTERVAL
+class _Sink:
+    """One sink under test and the tick times it recorded.
 
-    def test_non_representable_interval_does_not_drift(self):
-        # 0.1 has no exact binary representation: repeated addition
-        # drifts off the multiplicative grid within a few hundred ticks,
-        # so this is the discriminating case.
-        service = FakeService()
-        sampler = TimelineSampler(0.1).attach(service)
-        service.cluster.events.run(max_events=TICKS + 1)
-        for k, sample in enumerate(sampler.samples):
-            assert sample.time == k * 0.1
+    Windowed sinks record one entry per closed window, so their times
+    are the window ends (the attach-time tick closes none).
+    """
 
-    def test_grid_is_anchored_at_attach_time(self):
-        service = FakeService()
-        events = service.cluster.events
-        events.schedule(1.0, lambda: None)
-        events.run()
-        assert events.now == 1.0
-        sampler = TimelineSampler(INTERVAL).attach(service)
-        events.run(max_events=100)
-        for k, sample in enumerate(sampler.samples):
-            assert sample.time == 1.0 + k * INTERVAL
+    def __init__(self, kind, tmp_path):
+        self.kind = kind
+        if kind == "counter":
+            self.tracer = RecordingTracer()
+            self.sink = CounterSink(self.tracer)
+        elif kind == "metrics":
+            self.sink = RunMetrics(MetricsRegistry())
+        elif kind == "timeline":
+            self.sink = TimelineSeries()
+        else:
+            self.path = tmp_path / "grid.ndjson"
+            self.sink = TelemetryStream(
+                StreamConfig(path=self.path, anomalies=False), interval=INTERVAL
+            )
 
+    def attach(self, service, interval):
+        probe = Probe(interval, [self.sink]).attach(service)
+        if self.kind == "stream":
+            self.sink.attach(service)
+        return probe
 
-class TestMetricsSamplerGrid:
-    def test_window_boundaries_on_grid(self):
-        service = FakeService()
-        registry = MetricsRegistry()
-        sampler = MetricsSampler(registry, INTERVAL).attach(service)
-        service.cluster.events.run(max_events=TICKS + 1)
-        # The t=0 tick closes no window; every later tick closes one.
-        assert len(sampler.windows) == TICKS
-        for k, window in enumerate(sampler.windows):
-            assert window.start == k * INTERVAL
-            assert window.end == (k + 1) * INTERVAL
+    def times(self):
+        if self.kind == "counter":
+            return self.tracer.times
+        if self.kind == "metrics":
+            return [w.end for w in self.sink.windows]
+        if self.kind == "timeline":
+            return [s.time for s in self.sink.samples]
+        self.sink.close()
+        return [r["t"] for r in read_stream(self.path) if r["type"] == "snapshot"]
 
 
-class TestCounterSamplerGrid:
-    def test_counter_ticks_on_grid(self):
-        service = FakeService()
-        tracer = RecordingTracer()
-        sampler = CounterSampler(tracer, INTERVAL).attach(service)
-        service.cluster.events.run(max_events=TICKS + 1)
-        assert sampler.samples_taken == TICKS + 1
-        assert len(tracer.times) == TICKS + 1
-        for k, time in enumerate(tracer.times):
-            assert time == k * INTERVAL
+SINKS = ["counter", "metrics", "timeline", "stream"]
+
+
+def _expected(kind, start, interval, ticks):
+    """Tick times the sink records: windowed sinks skip the first."""
+    first = 1 if kind in ("metrics", "stream") else 0
+    return [start + k * interval for k in range(first, ticks)]
+
+
+@pytest.mark.parametrize("kind", SINKS)
+def test_10k_ticks_land_exactly_on_grid(kind, tmp_path):
+    service = FakeService()
+    sink = _Sink(kind, tmp_path)
+    probe = sink.attach(service, INTERVAL)
+    service.cluster.events.run(max_events=TICKS + 1)
+    assert probe.ticks == TICKS + 1
+    assert sink.times() == _expected(kind, 0.0, INTERVAL, TICKS + 1)
+
+
+@pytest.mark.parametrize("kind", SINKS)
+def test_non_representable_interval_does_not_drift(kind, tmp_path):
+    # 0.1 has no exact binary representation: repeated addition
+    # drifts off the multiplicative grid within a few hundred ticks,
+    # so this is the discriminating case.
+    service = FakeService()
+    sink = _Sink(kind, tmp_path)
+    sink.attach(service, 0.1)
+    service.cluster.events.run(max_events=TICKS + 1)
+    assert sink.times() == _expected(kind, 0.0, 0.1, TICKS + 1)
+
+
+@pytest.mark.parametrize("kind", SINKS)
+def test_grid_is_anchored_at_attach_time(kind, tmp_path):
+    service = FakeService()
+    events = service.cluster.events
+    events.schedule(1.0, lambda: None)
+    events.run()
+    assert events.now == 1.0
+    sink = _Sink(kind, tmp_path)
+    sink.attach(service, INTERVAL)
+    events.run(max_events=100)
+    assert sink.times() == _expected(kind, 1.0, INTERVAL, 100)
+
+
+def test_window_state_starts_at_attach_time():
+    """A late-attached probe's first window starts at the attach time,
+    and nothing completed before the attach is counted in it."""
+    service = FakeService()
+    events = service.cluster.events
+    events.schedule(1.0, lambda: None)
+    events.run()
+    service.collector.records.extend(["before attach"] * 3)
+    service.cluster.storage.total_bytes = 4096
+    metrics = RunMetrics(MetricsRegistry())
+    Probe(INTERVAL, [metrics]).attach(service)
+    events.run(max_events=3)
+    assert [(w.start, w.end) for w in metrics.windows] == [
+        (1.0, 1.25),
+        (1.25, 1.5),
+    ]
+    assert all(w.jobs_completed == 0 for w in metrics.windows)
+    assert all(w.io_bytes == 0 for w in metrics.windows)
+
+
+@pytest.mark.parametrize(
+    "horizon,ticks,floor,expected",
+    [
+        (256.0, COUNTER_TICKS, COUNTER_FLOOR, 1.0),
+        (64.0, WINDOW_TICKS, WINDOW_FLOOR, 1.0),
+        (1e-9, COUNTER_TICKS, COUNTER_FLOOR, 1e-4),
+        (0.0, WINDOW_TICKS, WINDOW_FLOOR, 1e-3),
+    ],
+    ids=["counter", "window", "counter-floor", "window-floor"],
+)
+def test_default_interval(horizon, ticks, floor, expected):
+    """h/N ticks over the horizon, never below the grid's floor."""
+    assert default_interval(horizon, ticks, floor) == expected

@@ -6,9 +6,8 @@ The stream's contract has three load-bearing halves:
   unstreamed one (golden assignment-trace hashes), because snapshot
   ticks only read simulator state;
 * **grid equality** — the streamed counter snapshots are exactly the
-  post-hoc :class:`~repro.obs.metrics.MetricsSampler` window series at
-  identical grid points (same absolute ``start + k * interval``
-  discipline, same window arithmetic);
+  post-hoc ``result.metrics.windows`` series (the stream and the
+  metrics layer are sinks of one probe, fed the same closed window);
 * **crash safety** — every record is flushed as written, and the
   readers tolerate the one torn trailing line a mid-run crash (or a
   tail racing the writer) can leave.
@@ -21,12 +20,12 @@ import time
 
 import pytest
 
+from repro.obs.probe import WINDOW_FLOOR, WINDOW_TICKS, default_interval
 from repro.obs.stream import (
     STREAM_SCHEMA,
     StallWatchdog,
     StreamConfig,
     _StreamWriter,
-    default_stream_interval,
     follow_stream,
     iter_jsonl,
     read_stream,
@@ -58,30 +57,30 @@ def _run(tmp_path, *, stream=True, metrics=False, drain=False, **kwargs):
 
 class TestStreamConfig:
     def test_validation(self, tmp_path):
-        with pytest.raises(ValueError, match="interval"):
-            StreamConfig(path=tmp_path / "s.ndjson", interval=0.0)
         with pytest.raises(ValueError, match="wall_interval"):
             StreamConfig(path=tmp_path / "s.ndjson", wall_interval=-1.0)
         with pytest.raises(ValueError, match="stall_timeout"):
             StreamConfig(path=tmp_path / "s.ndjson", stall_timeout=0.0)
 
     def test_for_shard_inserts_suffix(self, tmp_path):
-        config = StreamConfig(path=tmp_path / "tele.ndjson", interval=0.5)
+        config = StreamConfig(path=tmp_path / "tele.ndjson", wall_interval=0.5)
         shard = config.for_shard(3)
         assert shard.path.name == "tele.shard3.ndjson"
-        assert shard.interval == 0.5
+        assert shard.wall_interval == 0.5
 
     def test_for_shard_defaults_extension(self, tmp_path):
         config = StreamConfig(path=tmp_path / "tele")
         assert config.for_shard(0).path.name == "tele.shard0.ndjson"
 
-    def test_default_interval_matches_metrics_grid(self):
-        from repro.obs.metrics import default_window_interval
-
-        for horizon in (0.5, 6.0, 600.0):
-            assert default_stream_interval(horizon) == pytest.approx(
-                default_window_interval(horizon)
-            )
+    def test_default_interval_matches_metrics_grid(self, tmp_path):
+        """The stream header's interval is the metric-window grid."""
+        result = _run(tmp_path, metrics=True)
+        header = read_stream(tmp_path / "run.ndjson")[0]
+        windows = result.metrics.windows
+        assert header["interval"] == default_interval(
+            result.horizon, WINDOW_TICKS, WINDOW_FLOOR
+        )
+        assert windows[0].duration == header["interval"]
 
 
 class TestStreamedRun:
@@ -128,8 +127,8 @@ class TestStreamedRun:
             r for r in read_stream(tmp_path / "run.ndjson")
             if r["type"] == "snapshot"
         ]
-        # The default stream interval matches the metrics sampler's, so
-        # the two absolute grids coincide tick for tick.
+        # The stream and the metrics layer share one probe, so they see
+        # the same windows tick for tick.
         assert len(snapshots) == len(windows)
         for snapshot, window in zip(snapshots, windows):
             assert snapshot["t"] == window.end

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.reporting.timeline import TimelineSampler, sparkline
+from repro.obs.probe import Probe
+from repro.reporting.timeline import TimelineSeries, sparkline
 from repro.sim.run_config import RunConfig
 from repro.sim.simulator import run_simulation
 from repro.workload.scenarios import scenario_1
@@ -34,7 +35,7 @@ class TestSparkline:
 class TestSamplerValidation:
     def test_interval_positive(self):
         with pytest.raises(ValueError):
-            TimelineSampler(0.0)
+            Probe(0.0, [TimelineSeries()])
 
 
 class TestSamplerEndToEnd:
