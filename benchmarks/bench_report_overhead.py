@@ -61,9 +61,7 @@ def _run_pipeline() -> Dict[str, Dict[str, float]]:
     start = time.perf_counter()
     svg = render_timeline_svg(models[0], bins=BINS)
     svg_wall = time.perf_counter() - start
-    divergence = first_divergence(
-        list(results[0].audit), list(results[1].audit)
-    )
+    divergence = first_divergence(results[0].audit, results[1].audit)
     start = time.perf_counter()
     page = render_report_html(models, divergence=divergence, bins=BINS)
     html_wall = time.perf_counter() - start

@@ -65,9 +65,7 @@ def main() -> None:
             f"{len(models[-1].segments)}"
         )
 
-    divergence = first_divergence(
-        list(results[0].audit), list(results[1].audit)
-    )
+    divergence = first_divergence(results[0].audit, results[1].audit)
     if divergence is not None:
         print(
             f"first divergence at decision #{divergence.index}: "

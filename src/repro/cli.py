@@ -763,8 +763,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 )
             audit_cfg = AuditConfig(jsonl_path=audit_path)
             audit_paths.append(audit_path)
-        results.append(
-            run_simulation(
+        try:
+            result = run_simulation(
                 scenario,
                 name,
                 config=RunConfig(
@@ -778,7 +778,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                     ),
                 ),
             )
-        )
+        except ValueError as exc:
+            print(str(exc), file=sys.stderr)
+            return 2
+        results.append(result)
         if objectives:
             from repro.obs import SLOMonitor
 
@@ -1014,7 +1017,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
             f"{result.critical_paths.mean_latency * 1e3:.2f} ms"
         )
     a, b = results
-    divergence = first_divergence(list(a.audit), list(b.audit))
+    divergence = first_divergence(a.audit, b.audit)
     print()
     if divergence is None:
         print("no divergent decision: both runs placed every task identically")
@@ -1134,9 +1137,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         models.append(result.timeline(slo_reports=slo_reports))
     divergence = None
     if len(results) == 2:
-        divergence = first_divergence(
-            list(results[0].audit), list(results[1].audit)
-        )
+        divergence = first_divergence(results[0].audit, results[1].audit)
     page = render_report_html(
         models,
         divergence=divergence,

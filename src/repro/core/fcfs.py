@@ -17,7 +17,7 @@ All three trigger immediately on job arrival (no scheduling cycle).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.chunks import DecompositionPolicy, UniformDecomposition
 from repro.core.job import RenderJob
@@ -34,6 +34,9 @@ from repro.obs.audit import (
     REASON_MIN_ESTIMATE,
     REASON_ONLY_AVAILABLE,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.run_config import RunConfig
 
 
 class FCFSScheduler(Scheduler):
@@ -86,6 +89,32 @@ class FCFSUScheduler(Scheduler):
         self, node_count: int, chunk_max: int
     ) -> DecompositionPolicy:
         return UniformDecomposition(node_count)
+
+    def check_config(self, config: "RunConfig") -> None:
+        """Reject node crashes and resolution-cutting degradation.
+
+        Static pinning has no other node for chunk ``j``: a crashed
+        node ``j`` would still receive its tasks.  A degradation rung
+        with ``resolution_factor < 1`` cuts a job below one task per
+        node, which the identity mapping cannot place.
+        """
+        faults = config.faults
+        if faults is not None and any(e.kind == "crash" for e in faults.events):
+            raise ValueError(
+                "FCFSU cannot run a fault plan with node crashes: its "
+                "static chunk-to-node pinning keeps placing work on a "
+                "crashed node"
+            )
+        frontend = config.frontend
+        degrade = frontend.degrade if frontend is not None else None
+        if degrade is not None and any(
+            level.resolution_factor < 1.0 for level in degrade.ladder
+        ):
+            raise ValueError(
+                "FCFSU cannot run behind a frontend whose degradation "
+                "ladder cuts resolution (resolution_factor < 1): it needs "
+                "exactly one task per node"
+            )
 
     def schedule(self, jobs: Sequence[RenderJob], ctx: SchedulerContext) -> None:
         for job in jobs:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from abc import ABC, abstractmethod
-from typing import List, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.costs import CostParameters
@@ -30,6 +30,9 @@ from repro.core.chunks import ChunkedDecomposition, DecompositionPolicy
 from repro.core.job import RenderJob, RenderTask
 from repro.core.tables import SchedulerTables
 from repro.obs.audit import REASON_FALLBACK
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.run_config import RunConfig
 
 
 class Trigger(enum.Enum):
@@ -237,6 +240,12 @@ class Scheduler(ABC):
         tasks via ``ctx.assign``.  Deferred work must be retained
         internally and re-attempted on later invocations (the service
         passes an empty ``jobs`` list on cycles with no new arrivals).
+        """
+
+    def check_config(self, config: "RunConfig") -> None:
+        """Reject run features this policy cannot honour (default: none).
+
+        Called before the run builds anything; raises ``ValueError``.
         """
 
     def pending_task_count(self) -> int:

@@ -510,6 +510,42 @@ class AuditLog:
             self._ring_append = self._ring.append
             self._pending = False
 
+    def record_at(self, index: int) -> DecisionRecord:
+        """The record in ring slot ``index``, built alone if deferred.
+
+        Leaves the ring as it is: the other slots stay deferred.
+        """
+        e = self._ring[index]
+        return e if type(e) is DecisionRecord else self._record_from_entry(e)
+
+    def _slot_keys(self) -> Iterator[Tuple[Tuple[int, int, int, int], int]]:
+        """``(user, action, sequence, task_index)`` and node per slot.
+
+        Read straight off the ring, oldest first, without building a
+        record: a deferred entry carries the task and the chosen node.
+        """
+        for e in self._ring:
+            if type(e) is DecisionRecord:
+                yield (e.user, e.action, e.sequence, e.task_index), e.node
+            else:
+                task = e[2]
+                job = task.job
+                yield (job.user, job.action, job.sequence, task.index), e[3]
+
+    def decision_keys(
+        self,
+    ) -> Iterator[Tuple[Optional[Tuple[int, int, int, int]], int]]:
+        """``(key, node)`` per ring slot, oldest first, no record built.
+
+        ``key`` is the cross-run task identity of
+        :meth:`DecisionRecord.key`; shed and recovery slots, which place
+        no task, yield ``None``.  :func:`~repro.obs.causal.first_divergence`
+        matches two runs on these pairs and then builds only the
+        divergent slots (:meth:`record_at`).
+        """
+        for key, node in self._slot_keys():
+            yield (key if key[3] >= 0 else None), node
+
     @property
     def records(self) -> Deque[DecisionRecord]:
         """The ring buffer (oldest first), materialized on access."""
@@ -598,11 +634,15 @@ class AuditLog:
         return dict(self.reason_totals)
 
     def decisions_for(self, user: int, action: int, sequence: int):
-        """Ring records for one job, in decision order."""
+        """Ring records for one job, in decision order.
+
+        Scans the raw ring and builds only the matching slots.
+        """
+        job = (user, action, sequence)
         return [
-            r
-            for r in self.records
-            if r.user == user and r.action == action and r.sequence == sequence
+            self.record_at(i)
+            for i, (key, _node) in enumerate(self._slot_keys())
+            if key[:3] == job
         ]
 
     def summary(self) -> str:

@@ -34,11 +34,24 @@ as ``SimulationResult.critical_paths``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
+
+from repro.obs.audit import AuditLog, DecisionRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.job import RenderJob, RenderTask
-    from repro.obs.audit import DecisionRecord
 
 #: Attribution phases, in causal order.  Their per-path values sum to
 #: the job's end-to-end latency.
@@ -260,13 +273,36 @@ class Divergence(NamedTuple):
 
     #: Index of the divergent decision in run A's record stream.
     index: int
-    a: "DecisionRecord"
-    b: "DecisionRecord"
+    a: DecisionRecord
+    b: DecisionRecord
+
+
+#: What :func:`first_divergence` compares: a run's audit log, or its
+#: decision records in order.
+DecisionSource = Union[AuditLog, Sequence[DecisionRecord]]
+
+
+def _keyed(
+    source: DecisionSource,
+) -> Tuple[Iterator[Tuple[Optional[tuple], int]], Callable[[int], DecisionRecord]]:
+    """``(key, node)`` pairs of ``source`` plus its by-index record lookup.
+
+    An :class:`~repro.obs.audit.AuditLog` reads the pairs off its raw
+    capture and builds a record only when asked for one; a record
+    sequence yields the same pairs from its records.  ``key`` is
+    ``None`` for shed and recovery records, which place no task.
+    """
+    if isinstance(source, AuditLog):
+        return source.decision_keys(), source.record_at
+    pairs = (
+        (rec.key() if rec.task_index >= 0 else None, rec.node) for rec in source
+    )
+    return pairs, source.__getitem__
 
 
 def first_divergence(
-    records_a: Sequence["DecisionRecord"],
-    records_b: Sequence["DecisionRecord"],
+    records_a: DecisionSource,
+    records_b: DecisionSource,
 ) -> Optional[Divergence]:
     """The earliest decision (in run A's order) placed differently in B.
 
@@ -275,26 +311,41 @@ def first_divergence(
     after a node failure is decided twice).  Shed records and tasks the
     other run never decided are skipped.  Returns ``None`` when every
     matched decision agrees.
+
+    Either side may be an :class:`~repro.obs.audit.AuditLog` or a
+    sequence of its records; the result is the same.  Matching reads
+    only keys and nodes, B is indexed only as far as A's next decision
+    needs, and only the divergent pair of records is built — an audit
+    log's other decisions stay in their deferred form.
     """
-    b_by_key: Dict[tuple, "DecisionRecord"] = {}
-    occurrence: Dict[tuple, int] = {}
-    for rec in records_b:
-        if rec.task_index < 0:
-            continue
-        key = rec.key()
-        n = occurrence.get(key, 0)
-        occurrence[key] = n + 1
-        b_by_key[(key, n)] = rec
+    pairs_a, record_a = _keyed(records_a)
+    pairs_b, record_b = _keyed(records_b)
+    indexed_b = enumerate(pairs_b)
+    # (key, occurrence) -> (B index, node), for the prefix of B read so far.
+    b_slots: Dict[tuple, Tuple[int, int]] = {}
+    occurrence_b: Dict[tuple, int] = {}
     occurrence_a: Dict[tuple, int] = {}
-    for index, rec in enumerate(records_a):
-        if rec.task_index < 0:
+    for index, (key, node) in enumerate(pairs_a):
+        if key is None:
             continue
-        key = rec.key()
         n = occurrence_a.get(key, 0)
         occurrence_a[key] = n + 1
-        other = b_by_key.get((key, n))
-        if other is not None and other.node != rec.node:
-            return Divergence(index, rec, other)
+        target = (key, n)
+        other = b_slots.get(target)
+        if other is None:
+            # Read B on until this decision turns up (or B runs out).
+            for j, (key_b, node_b) in indexed_b:
+                if key_b is None:
+                    continue
+                m = occurrence_b.get(key_b, 0)
+                occurrence_b[key_b] = m + 1
+                slot = (key_b, m)
+                b_slots[slot] = (j, node_b)
+                if slot == target:
+                    other = (j, node_b)
+                    break
+        if other is not None and other[1] != node:
+            return Divergence(index, record_a(index), record_b(other[0]))
     return None
 
 

@@ -300,6 +300,7 @@ def _run(
     """The actual run loop; ``config`` is fully resolved here."""
     if isinstance(scheduler, str):
         scheduler = make_scheduler(scheduler)
+    scheduler.check_config(config)
     scheduler.reset()
 
     drain = config.drain
