@@ -5,10 +5,14 @@ Each trace cell runs one scenario under one scheduler with
 hash and length.  Each observation cell runs with every observer on
 (tracer, metrics, timeline, stream) and pins one hash per observer
 output; each sink cell pins ``events_processed`` with exactly one
-observer on.  ``tests/sim/test_golden_digests.py`` recomputes every
-cell and compares it with the committed file, so a deterministic change
-in scheduling or observed behaviour fails the suite instead of passing
-unnoticed.
+observer on.  Each CLI parser cell pins one verb's flags, defaults and
+help text; each CLI output cell runs ``repro.cli.main`` on fixed argv
+and pins the exit codes, stderr, stdout with its wall-clock fields
+masked, and the names of the files written.
+``tests/sim/test_golden_digests.py`` recomputes every cell and compares
+it with the committed file, so a deterministic change in scheduling,
+observed behaviour or the command line fails the suite instead of
+passing unnoticed.
 
 Run from the repository root::
 
@@ -22,10 +26,13 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import json
 import os
+import re
 import sys
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
@@ -34,6 +41,7 @@ DIGESTS_PATH = os.path.join(_HERE, "digests.json")
 if __name__ == "__main__":
     sys.path.insert(0, os.path.join(_HERE, os.pardir, os.pardir, "src"))
 
+from repro.cli import build_parser, main as cli_main  # noqa: E402
 from repro.core.registry import SCHEDULER_NAMES  # noqa: E402
 from repro.faults.plan import FaultPlan  # noqa: E402
 from repro.obs.stream import StreamConfig, read_stream  # noqa: E402
@@ -88,6 +96,96 @@ STREAM_UNPINNED = frozenset({"wall_s", "events", "d_events"})
 SINKS = ["tracer", "metrics", "stream", "timeline"]
 SINK_CELLS: List[Tuple[str, str]] = [
     (f"events:s2@0.1/OURS+{sink}", sink) for sink in SINKS
+]
+
+
+#: CLI parser cells: ``(key, verb)``, one per subcommand.
+CLI_VERBS = [
+    "simulate", "federate", "explain", "report", "faults",
+    "watch", "render", "animate", "schedulers", "scenarios",
+]
+CLI_PARSER_CELLS: List[Tuple[str, str]] = [
+    (f"cli-parser:{verb}", verb) for verb in CLI_VERBS
+]
+
+#: A stream with a header and no summary record: ``watch`` gives up on it.
+_DEAD_STREAM = (
+    '{"type": "run", "schema": 1, "scenario": "s", "scheduler": "OURS", '
+    '"horizon": 6.0, "interval": 0.1, "shard": 0}\n'
+)
+
+_STORM_ARGV = [
+    "faults", "--scenario", "1", "--scale", "0.05", "--storm", "11",
+    "--audit", "{tmp}/fa.jsonl", "--report", "{tmp}/rca.json",
+    "--stream", "{tmp}/fs.ndjson",
+]
+
+#: CLI output cells: ``(key, steps, files)``.  Each step is one argv
+#: run through ``repro.cli.main`` in a fresh directory (``{tmp}`` in an
+#: argument is that directory); ``files`` are written there first.
+CLI_CELLS: List[Tuple[str, List[List[str]], Dict[str, str]]] = [
+    ("cli:simulate-observed", [[
+        "simulate", "--scenario", "2", "--scale", "0.05",
+        "--schedulers", "OURS,FCFS", "--metrics", "{tmp}/m.jsonl",
+        "--slo", "fps=33.33", "--slo", "latency:p95=0.25",
+        "--trace", "{tmp}/t.json", "--audit", "{tmp}/a.jsonl",
+        "--stream", "{tmp}/s.ndjson", "--per-action", "--profile",
+    ]], {}),
+    ("cli:simulate-overload", [[
+        "simulate", "--scenario", "2", "--scale", "0.03", "--load", "2.5",
+        "--admission", "sessions=8", "--queue-limit", "32:shed-oldest",
+        "--degrade",
+    ]], {}),
+    ("cli:federate", [[
+        "federate", "--scenario", "4", "--scale", "0.02", "--shards", "2",
+        "--metrics", "{tmp}/fm.jsonl", "--stream", "{tmp}/fs.ndjson",
+        "--out", "{tmp}/fed.html",
+    ]], {}),
+    ("cli:explain", [["explain", "--scenario", "2", "--scale", "0.05"]], {}),
+    ("cli:report-svg", [[
+        "report", "--scenario", "2", "--scale", "0.03",
+        "--out", "{tmp}/r.html", "--svg", "{tmp}/tl.svg",
+    ]], {}),
+    ("cli:faults-storm", [_STORM_ARGV], {}),
+    ("cli:watch-once", [_STORM_ARGV, ["watch", "{tmp}/fs.ndjson", "--once"]], {}),
+    ("cli:schedulers", [["schedulers"]], {}),
+    ("cli:scenarios", [["scenarios"]], {}),
+    ("cli:err-simulate-unknown-scheduler", [["simulate", "--schedulers", "BOGUS"]], {}),
+    ("cli:err-simulate-admission", [[
+        "simulate", "--scenario", "2", "--scale", "0.03", "--admission", "bogus=1",
+    ]], {}),
+    ("cli:err-simulate-queue-limit", [[
+        "simulate", "--scenario", "2", "--scale", "0.03", "--queue-limit", "fast",
+    ]], {}),
+    ("cli:err-simulate-load", [["simulate", "--scenario", "1", "--load", "2.0"]], {}),
+    ("cli:err-simulate-stall-timeout", [["simulate", "--stall-timeout", "5"]], {}),
+    ("cli:err-faults-unknown-scheduler", [["faults", "--scheduler", "BOGUS"]], {}),
+    ("cli:err-faults-bad-plan", [["faults", "--plan", "meteor@1:node=0"]], {}),
+    ("cli:err-faults-plan-and-storm", [[
+        "faults", "--plan", "crash@1:node=0", "--storm", "7",
+    ]], {}),
+    ("cli:err-report-unknown-scheduler", [["report", "--schedulers", "BOGUS"]], {}),
+    ("cli:err-report-three-schedulers", [["report", "--schedulers", "OURS,FCFS,SF"]], {}),
+    ("cli:err-explain-one-scheduler", [["explain", "--schedulers", "OURS"]], {}),
+    ("cli:err-explain-unknown-scheduler", [["explain", "--schedulers", "OURS,BOGUS"]], {}),
+    ("cli:err-federate-unknown-scheduler", [["federate", "--scheduler", "BOGUS"]], {}),
+    ("cli:err-federate-shards", [["federate", "--shards", "0"]], {}),
+    ("cli:err-watch-missing", [["watch", "{tmp}/nope.ndjson", "--once"]], {}),
+    ("cli:err-watch-poll", [["watch", "x.ndjson", "--poll", "0"]], {}),
+    ("cli:err-watch-quiet", [[
+        "watch", "{tmp}/dead.ndjson", "--poll", "0.02", "--idle-timeout", "0.2",
+    ]], {"dead.ndjson": _DEAD_STREAM}),
+]
+
+#: Wall-clock fields of the CLI's output, masked before hashing:
+#: watch's checkpoint lines (their count depends on run speed), the
+#: ``in X.XXs wall`` and ``(N events/s)`` throughput fields, and the
+#: host-time scheduling cost closing each comparison-table row.
+_CLI_MASKS = [
+    (re.compile(r"^wall .*\n", re.M), ""),
+    (re.compile(r" in \d+\.\d+s wall"), " in <wall>"),
+    (re.compile(r"\([\d,]+ events/s\)"), "(<rate> events/s)"),
+    (re.compile(r"^(\S+(?: +\S+){5} +\S+%) +\S+$", re.M), r"\1 <cost>"),
 ]
 
 
@@ -185,6 +283,64 @@ def compute_sink_events(sink: str) -> Dict[str, object]:
     return {"events_processed": result.events_processed}
 
 
+def compute_cli_parser_digest(verb: str) -> Dict[str, object]:
+    """Hash one verb's parser spec (not its ``--help`` rendering, which
+    differs between Python versions)."""
+    sub = next(
+        a for a in build_parser()._actions if a.dest == "command"
+    ).choices[verb]
+    return _hash_rows(
+        (
+            a.option_strings,
+            a.dest,
+            a.default,
+            list(a.choices) if a.choices is not None else None,
+            a.help,
+            getattr(a.type, "__name__", a.type),
+            a.metavar,
+        )
+        for a in sub._actions
+    )
+
+
+def _mask(text: str, tmp: str) -> str:
+    text = text.replace(tmp, "<tmp>")
+    for pattern, replacement in _CLI_MASKS:
+        text = pattern.sub(replacement, text)
+    return text
+
+
+def compute_cli_digest(
+    steps: List[List[str]], files: Dict[str, str]
+) -> Dict[str, object]:
+    """Run each argv step in one fresh directory; pin exits, output, files."""
+    exits = []
+    stdout = hashlib.sha256()
+    stderr = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        for argv in steps:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                exits.append(cli_main([a.replace("{tmp}", tmp) for a in argv]))
+            stdout.update(_mask(out.getvalue(), tmp).encode())
+            stderr.update(_mask(err.getvalue(), tmp).encode())
+        written = sorted(
+            os.path.relpath(os.path.join(root, name), tmp)
+            for root, _, names in os.walk(tmp)
+            for name in names
+            if name not in files
+        )
+    return {
+        "exit": exits,
+        "files": written,
+        "stderr": stderr.hexdigest(),
+        "stdout": stdout.hexdigest(),
+    }
+
+
 def load_digests() -> Dict[str, Dict[str, object]]:
     """The committed digests, keyed by cell."""
     with open(DIGESTS_PATH, encoding="utf-8") as fh:
@@ -200,6 +356,10 @@ def main() -> int:
         digests[key] = compute_observation_digest(number, scale, scheduler)
     for key, sink in SINK_CELLS:
         digests[key] = compute_sink_events(sink)
+    for key, verb in CLI_PARSER_CELLS:
+        digests[key] = compute_cli_parser_digest(verb)
+    for key, steps, files in CLI_CELLS:
+        digests[key] = compute_cli_digest(steps, files)
     with open(DIGESTS_PATH, "w", encoding="utf-8") as fh:
         json.dump(digests, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -4,8 +4,9 @@ Every other trace-hash test compares two runs from the same checkout,
 so a deterministic change in behaviour passes them all.  These tests
 compare each cell against ``tests/golden/digests.json``: the
 assignment-trace hash and length of every trace cell, the per-observer
-output hashes of every observation cell, and ``events_processed`` of
-every single-observer cell.  Regenerate the file only with
+output hashes of every observation cell, ``events_processed`` of every
+single-observer cell, each CLI verb's parser spec, and the exit codes,
+output and written files of every CLI case.  Regenerate the file only with
 ``python tests/golden/update_digests.py`` and a stated reason.
 """
 
@@ -13,8 +14,12 @@ import pytest
 
 from tests.golden.update_digests import (
     CELLS,
+    CLI_CELLS,
+    CLI_PARSER_CELLS,
     OBS_CELLS,
     SINK_CELLS,
+    compute_cli_digest,
+    compute_cli_parser_digest,
     compute_digest,
     compute_observation_digest,
     compute_sink_events,
@@ -25,7 +30,8 @@ DIGESTS = load_digests()
 
 
 def test_every_cell_is_pinned():
-    keys = [cell[0] for cell in CELLS + OBS_CELLS + SINK_CELLS]
+    cells = CELLS + OBS_CELLS + SINK_CELLS + CLI_PARSER_CELLS + CLI_CELLS
+    keys = [cell[0] for cell in cells]
     assert sorted(DIGESTS) == sorted(keys)
 
 
@@ -50,3 +56,17 @@ def test_observation_matches_golden_digest(key, number, scale, scheduler):
 @pytest.mark.parametrize("key,sink", SINK_CELLS, ids=[cell[0] for cell in SINK_CELLS])
 def test_single_observer_event_count_matches_golden(key, sink):
     assert compute_sink_events(sink) == DIGESTS[key], key
+
+
+@pytest.mark.parametrize(
+    "key,verb", CLI_PARSER_CELLS, ids=[cell[0] for cell in CLI_PARSER_CELLS]
+)
+def test_cli_parser_matches_golden(key, verb):
+    assert compute_cli_parser_digest(verb) == DIGESTS[key], key
+
+
+@pytest.mark.parametrize(
+    "key,steps,files", CLI_CELLS, ids=[cell[0] for cell in CLI_CELLS]
+)
+def test_cli_output_matches_golden(key, steps, files):
+    assert compute_cli_digest(steps, files) == DIGESTS[key], key
