@@ -40,11 +40,40 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.core.registry import SCHEDULER_NAMES
+from repro.core.registry import SCHEDULER_NAMES, make_scheduler
+from repro.faults import FaultPlan, analyze, score
+from repro.federation import FederationConfig, run_federation
+from repro.frontend import (
+    AdmissionConfig,
+    BackpressureConfig,
+    DegradeConfig,
+    FrontendConfig,
+)
+from repro.obs import (
+    AuditConfig,
+    SLObjective,
+    SLOMonitor,
+    StreamConfig,
+    Tracer,
+    first_divergence,
+    follow_stream,
+    iter_jsonl,
+    phase_delta_table,
+    render_federation_html,
+    render_report_html,
+    render_timeline_svg,
+    score_anomalies,
+    slo_table,
+    tagged_path,
+    write_chrome_trace,
+    write_report,
+)
 from repro.reporting.report import comparison_table
 from repro.render import (
     DATASET_NAMES,
@@ -56,6 +85,8 @@ from repro.render import (
     render_sort_last,
     write_ppm,
 )
+from repro.render.animation import OrbitPath, render_animation
+from repro.render.shading import Lighting
 from repro.sim.run_config import RunConfig
 from repro.sim.simulator import run_simulation
 from repro.workload.scenarios import SCENARIO_FACTORIES, make_scenario
@@ -79,10 +110,11 @@ def package_version() -> str:
 # Shared flag groups (argparse parent parsers)
 #
 # Every simulation-driving verb (simulate / federate / explain / report /
-# faults) takes the same core flags; each factory below builds one
-# ``add_help=False`` parent so the verbs declare them once and stay in
-# lockstep.  Factories take the per-verb defaults as parameters — parents
-# are instantiated per verb, never shared, so defaults cannot leak.
+# faults) takes the same core flags; each factory below (``_flag`` for a
+# single flag) builds one ``add_help=False`` parent so the verbs declare
+# them once and stay in lockstep.  Factories take the per-verb defaults
+# as parameters — parents are instantiated per verb, never shared, so
+# defaults cannot leak.
 # ---------------------------------------------------------------------------
 
 
@@ -111,39 +143,14 @@ def _scenario_parent(
     return parent
 
 
-def _schedulers_parent(
-    *, default: str, help_text: str
-) -> argparse.ArgumentParser:
-    """--schedulers/--scheduler (comma list) for the comparison verbs."""
+def _flag(*names: str, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser declaring one flag."""
     parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--schedulers",
-        "--scheduler",
-        dest="schedulers",
-        default=default,
-        help=help_text,
-    )
+    parent.add_argument(*names, **kwargs)
     return parent
 
 
-def _scheduler_parent(*, default: str = "OURS") -> argparse.ArgumentParser:
-    """--scheduler (exactly one registry name)."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--scheduler", default=default, help="one registry name"
-    )
-    return parent
-
-
-def _drain_parent() -> argparse.ArgumentParser:
-    """--drain: run past the horizon until every job completes."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--drain",
-        action="store_true",
-        help="simulate past the horizon until every job completes",
-    )
-    return parent
+_DRAIN_HELP = "simulate past the horizon until every job completes"
 
 
 def _slo_parent(
@@ -168,15 +175,6 @@ def _slo_parent(
                 "(default 1.0)"
             ),
         )
-    return parent
-
-
-def _plan_parent(*, help_text: str) -> argparse.ArgumentParser:
-    """--plan: a fault-plan SPEC."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--plan", metavar="SPEC", default=None, help=help_text
-    )
     return parent
 
 
@@ -216,31 +214,13 @@ def _overload_parent() -> argparse.ArgumentParser:
     return parent
 
 
-def _metrics_parent() -> argparse.ArgumentParser:
-    """--metrics PATH: registry on, JSONL + Prometheus exposition out."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--metrics",
-        metavar="PATH",
-        default=None,
-        help=(
-            "enable the metrics registry and write structured JSONL "
-            "(one event per window sample / SLO violation) to PATH, "
-            "plus a Prometheus text exposition next to it (.prom); "
-            "with several runs, the run name is inserted before the "
-            "file extension"
-        ),
-    )
-    return parent
-
-
-def _audit_parent(*, help_text: str) -> argparse.ArgumentParser:
-    """--audit PATH: stream the decision audit log as JSONL."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--audit", metavar="PATH", default=None, help=help_text
-    )
-    return parent
+_METRICS_HELP = (
+    "enable the metrics registry and write structured JSONL "
+    "(one event per window sample / SLO violation) to PATH, "
+    "plus a Prometheus text exposition next to it (.prom); "
+    "with several runs, the run name is inserted before the "
+    "file extension"
+)
 
 
 def _stream_parent() -> argparse.ArgumentParser:
@@ -272,33 +252,6 @@ def _stream_parent() -> argparse.ArgumentParser:
     return parent
 
 
-def _stream_config(args: argparse.Namespace, *, run_name: Optional[str] = None):
-    """Build the StreamConfig requested by ``--stream``.
-
-    Returns ``None`` when streaming is off; ``run_name`` is inserted
-    before the file extension (the multi-run naming idiom shared with
-    ``--audit`` / ``--trace`` / ``--metrics``).
-    """
-    if not args.stream:
-        return None
-    from repro.obs import StreamConfig
-
-    path = Path(args.stream)
-    if run_name is not None:
-        path = path.with_name(
-            f"{path.stem}.{run_name}{path.suffix or '.ndjson'}"
-        )
-    return StreamConfig(path=path, stall_timeout=args.stall_timeout)
-
-
-def _check_stream_flags(args: argparse.Namespace) -> bool:
-    """Validate the stream flag combination; prints and returns False on error."""
-    if args.stall_timeout is not None and not args.stream:
-        print("--stall-timeout requires --stream", file=sys.stderr)
-        return False
-    return True
-
-
 _SLO_SPEC_HELP = (
     "evaluate a service-level objective and print the violation "
     "report; SPEC is fps=TARGET, latency=SECONDS, or "
@@ -327,22 +280,30 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a scenario under schedulers",
         parents=[
             _scenario_parent(scenario=1, scale=1.0),
-            _schedulers_parent(
+            _flag(
+                "--schedulers",
+                "--scheduler",
+                dest="schedulers",
                 default="OURS",
-                help_text="comma-separated registry names (or 'all')",
+                help="comma-separated registry names (or 'all')",
             ),
-            _drain_parent(),
+            _flag("--drain", action="store_true", help=_DRAIN_HELP),
             _overload_parent(),
-            _metrics_parent(),
+            _flag(
+                "--metrics", metavar="PATH", default=None, help=_METRICS_HELP
+            ),
             _slo_parent(help_text=_SLO_SPEC_HELP),
-            _audit_parent(
-                help_text=(
+            _flag(
+                "--audit",
+                metavar="PATH",
+                default=None,
+                help=(
                     "enable the decision audit log and stream every "
                     "placement decision (reason code + candidate "
                     "snapshot) to PATH as JSONL; with several "
                     "schedulers, the scheduler name is inserted before "
                     "the file extension"
-                )
+                ),
             ),
             _stream_parent(),
         ],
@@ -373,10 +334,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard a scenario across N simulators behind a user router",
         parents=[
             _scenario_parent(scenario=4, scale=1.0),
-            _scheduler_parent(),
-            _drain_parent(),
+            _flag("--scheduler", default="OURS", help="one registry name"),
+            _flag("--drain", action="store_true", help=_DRAIN_HELP),
             _overload_parent(),
-            _metrics_parent(),
+            _flag(
+                "--metrics", metavar="PATH", default=None, help=_METRICS_HELP
+            ),
             _slo_parent(help_text=_SLO_SPEC_HELP),
             _stream_parent(),
         ],
@@ -447,14 +410,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="diff two schedulers' decisions and phase attribution",
         parents=[
             _scenario_parent(scenario=2, scale=0.1),
-            _schedulers_parent(
+            _flag(
+                "--schedulers",
+                "--scheduler",
+                dest="schedulers",
                 default="OURS,FCFS",
-                help_text=(
+                help=(
                     "exactly two comma-separated registry names "
                     "(default OURS,FCFS)"
                 ),
             ),
-            _drain_parent(),
+            _flag("--drain", action="store_true", help=_DRAIN_HELP),
             _stream_parent(),
         ],
     )
@@ -464,16 +430,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="render a self-contained HTML run report (Gantt + heatmaps)",
         parents=[
             _scenario_parent(scenario=2, scale=0.1),
-            _schedulers_parent(
+            _flag(
+                "--schedulers",
+                "--scheduler",
+                dest="schedulers",
                 default="OURS,FCFS",
-                help_text=(
+                help=(
                     "one registry name for a single-run report, or two "
                     "comma-separated names for the side-by-side A/B "
                     "comparison with first divergence marked "
                     "(default OURS,FCFS)"
                 ),
             ),
-            _drain_parent(),
+            _flag("--drain", action="store_true", help=_DRAIN_HELP),
             _slo_parent(
                 window=False,
                 help_text=(
@@ -483,12 +452,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "framerate"
                 ),
             ),
-            _plan_parent(
-                help_text=(
+            _flag(
+                "--plan",
+                metavar="SPEC",
+                default=None,
+                help=(
                     "optional fault plan to inject (same syntax as "
                     "'repro faults --plan'); onset/detection/recovery "
                     "markers are drawn on the timeline"
-                )
+                ),
             ),
             _stream_parent(),
         ],
@@ -520,9 +492,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="inject faults, report self-healing + root-cause analysis",
         parents=[
             _scenario_parent(scenario=1, scale=0.5),
-            _scheduler_parent(),
-            _plan_parent(
-                help_text=(
+            _flag("--scheduler", default="OURS", help="one registry name"),
+            _flag(
+                "--plan",
+                metavar="SPEC",
+                default=None,
+                help=(
                     "fault plan: semicolon-separated "
                     "kind@time[:key=value,...] events; kinds crash "
                     "(node=, revive=), straggler (node=, render=, io=, "
@@ -530,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "(latency=, bw=, until=).  Example: "
                     "'crash@10:node=3,revive=20;"
                     "storage@6:latency=5,until=12'"
-                )
+                ),
             ),
             _slo_parent(
                 help_text=(
@@ -539,8 +514,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "the scenario's target framerate"
                 )
             ),
-            _audit_parent(
-                help_text="also stream the decision audit log (JSONL) to PATH"
+            _flag(
+                "--audit",
+                metavar="PATH",
+                default=None,
+                help="also stream the decision audit log (JSONL) to PATH",
             ),
             _stream_parent(),
         ],
@@ -652,13 +630,6 @@ def _parse_frontend(args: argparse.Namespace):
     """
     if not (args.admission or args.queue_limit or args.degrade):
         return None
-    from repro.frontend import (
-        AdmissionConfig,
-        BackpressureConfig,
-        DegradeConfig,
-        FrontendConfig,
-    )
-
     admission = None
     if args.admission:
         fields = {}
@@ -699,47 +670,116 @@ def _parse_frontend(args: argparse.Namespace):
     )
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    """Run a scenario under the requested schedulers; print comparison."""
-    names: List[str]
-    if args.schedulers.strip().lower() == "all":
-        names = list(SCHEDULER_NAMES)
-    else:
-        names = [n.strip().upper() for n in args.schedulers.split(",") if n.strip()]
+# ---------------------------------------------------------------------------
+# Shared run helpers
+#
+# Each verb validates its flags through these and raises ``ValueError``
+# on a bad one; ``main`` turns that into a message on stderr and exit 2.
+# ---------------------------------------------------------------------------
+
+
+def _known(names: List[str], noun: str) -> List[str]:
+    """``names`` if every one is a registered scheduler; else ValueError."""
     unknown = [n for n in names if n not in SCHEDULER_NAMES]
     if unknown:
-        print(
-            f"unknown scheduler(s): {', '.join(unknown)}; "
-            f"valid: {', '.join(SCHEDULER_NAMES)}",
-            file=sys.stderr,
+        raise ValueError(
+            f"unknown {noun}: {', '.join(unknown)}; "
+            f"valid: {', '.join(SCHEDULER_NAMES)}"
         )
-        return 2
-    objectives = []
-    if args.slo:
-        from repro.obs import SLObjective
+    return names
 
-        try:
-            objectives = [
-                SLObjective.parse(spec, window=args.slo_window)
-                for spec in args.slo
-            ]
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-    try:
-        frontend = _parse_frontend(args)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if not _check_stream_flags(args):
-        return 2
-    try:
-        scenario = make_scenario(
-            args.scenario, scale=args.scale, seed=args.seed, load=args.load
+
+def _scheduler_list(text: str) -> List[str]:
+    """A comma-separated list of registry names (or 'all')."""
+    if text.strip().lower() == "all":
+        return list(SCHEDULER_NAMES)
+    names = [n.strip().upper() for n in text.split(",") if n.strip()]
+    return _known(names, "scheduler(s)")
+
+
+def _scheduler_name(text: str) -> str:
+    """Exactly one registry name."""
+    return _known([text.strip().upper()], "scheduler")[0]
+
+
+def _scenario(args: argparse.Namespace, **kwargs):
+    """The scenario named by --scenario/--scale/--seed/--load."""
+    return make_scenario(
+        args.scenario,
+        scale=args.scale,
+        seed=args.seed,
+        load=args.load,
+        **kwargs,
+    )
+
+
+def _objectives(
+    args: argparse.Namespace, scenario=None
+) -> List[SLObjective]:
+    """The --slo objectives; with ``scenario``, fps at its target if none."""
+    specs = args.slo
+    if not specs and scenario is not None:
+        specs = [f"fps={scenario.target_framerate:g}"]
+    # report has no --slo-window and keeps parse's default window.
+    window = getattr(args, "slo_window", 1.0)
+    return [SLObjective.parse(spec, window=window) for spec in specs or ()]
+
+
+def _run_config(
+    args: argparse.Namespace, tag: Optional[str] = None, **fields
+) -> RunConfig:
+    """The RunConfig of the shared --drain/--metrics/--stream flags.
+
+    ``fields`` adds the verb's own settings; ``tag`` names this run's
+    stream file (:func:`repro.obs.tagged_path`).
+    """
+    if "drain" in args:
+        fields["drain"] = args.drain
+    if "metrics" in args:
+        fields["metrics"] = bool(args.metrics)
+    if args.stream:
+        fields["stream"] = StreamConfig(
+            path=tagged_path(args.stream, tag, ".ndjson"),
+            stall_timeout=args.stall_timeout,
         )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    return RunConfig(**fields)
+
+
+def _audited_runs(
+    args: argparse.Namespace,
+    scenario,
+    names: List[str],
+    *,
+    traced: bool = False,
+    **fields,
+) -> list:
+    """Run each scheduler with its complete decision stream audited.
+
+    The divergence diff needs every decision, not a ring window, hence
+    the unbounded capacity.
+    """
+    return [
+        run_simulation(
+            scenario,
+            name,
+            config=_run_config(
+                args,
+                name if len(names) > 1 else None,
+                tracer=Tracer() if traced else None,
+                audit=AuditConfig(capacity=None),
+                **fields,
+            ),
+        )
+        for name in names
+    ]
+
+
+def cmd_simulate(args: argparse.Namespace) -> int:
+    """Run a scenario under the requested schedulers; print comparison."""
+    names = _scheduler_list(args.schedulers)
+    objectives = _objectives(args)
+    frontend = _parse_frontend(args)
+    scenario = _scenario(args)
     print(scenario.summary())
     results = []
     trace_paths = []
@@ -747,62 +787,33 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     audit_paths = []
     slo_reports = {name: [] for name in names}
     for name in names:
-        tracer = None
-        if args.trace:
-            from repro.obs import Tracer
-
-            tracer = Tracer()
+        tag = name if len(names) > 1 else None
         audit_cfg = False
         if args.audit:
-            from repro.obs import AuditConfig
-
-            audit_path = Path(args.audit)
-            if len(names) > 1:
-                audit_path = audit_path.with_name(
-                    f"{audit_path.stem}.{name}{audit_path.suffix or '.jsonl'}"
-                )
+            audit_path = tagged_path(args.audit, tag, ".jsonl")
             audit_cfg = AuditConfig(jsonl_path=audit_path)
             audit_paths.append(audit_path)
-        try:
-            result = run_simulation(
-                scenario,
-                name,
-                config=RunConfig(
-                    drain=args.drain,
-                    tracer=tracer,
-                    metrics=bool(args.metrics),
-                    frontend=frontend,
-                    audit=audit_cfg,
-                    stream=_stream_config(
-                        args, run_name=name if len(names) > 1 else None
-                    ),
-                ),
-            )
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
+        config = _run_config(
+            args,
+            tag,
+            tracer=Tracer() if args.trace else None,
+            frontend=frontend,
+            audit=audit_cfg,
+        )
+        result = run_simulation(scenario, name, config=config)
         results.append(result)
         if objectives:
-            from repro.obs import SLOMonitor
-
-            slo_reports[name] = SLOMonitor(objectives).evaluate(results[-1])
+            slo_reports[name] = SLOMonitor(objectives).evaluate(result)
         if args.metrics:
-            path = Path(args.metrics)
-            if len(names) > 1:
-                path = path.with_name(f"{path.stem}.{name}{path.suffix or '.jsonl'}")
-            run_metrics = results[-1].metrics
-            run_metrics.write_jsonl(path, slo_reports=slo_reports[name])
-            run_metrics.write_prometheus(path.with_suffix(".prom"))
+            path = tagged_path(args.metrics, tag, ".jsonl")
+            result.metrics.write_jsonl(path, slo_reports=slo_reports[name])
+            result.metrics.write_prometheus(path.with_suffix(".prom"))
             metrics_paths.append(path)
-        if tracer is not None:
-            from repro.obs import write_chrome_trace
-
-            path = Path(args.trace)
-            if len(names) > 1:
-                path = path.with_name(f"{path.stem}.{name}{path.suffix or '.json'}")
+        if args.trace:
+            path = tagged_path(args.trace, tag, ".json")
             write_chrome_trace(
                 path,
-                tracer,
+                config.tracer,
                 metadata={
                     "scenario": scenario.name,
                     "scheduler": name,
@@ -843,13 +854,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 print(f"    action {action:>6}: {fps:7.2f} fps")
         if args.profile:
             print(result.profile_table(title=f"\n[{result.scheduler_name}] per-node time breakdown"))
-    if objectives:
-        from repro.obs import slo_table
-
-        for index, objective in enumerate(objectives):
-            rows = [slo_reports[name][index] for name in names]
-            print()
-            print(slo_table(rows, title="SLO report"))
+    for index, objective in enumerate(objectives):
+        rows = [slo_reports[name][index] for name in names]
+        print()
+        print(slo_table(rows, title="SLO report"))
     for path in metrics_paths:
         print(f"metrics written to {path} (+ {path.with_suffix('.prom').name})")
     for path in trace_paths:
@@ -861,52 +869,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_federate(args: argparse.Namespace) -> int:
     """Shard one scenario across N simulators; print the merged report."""
-    from repro.federation import FederationConfig, run_federation
-    from repro.obs import SLObjective, slo_table
-
-    name = args.scheduler.strip().upper()
-    if name not in SCHEDULER_NAMES:
-        print(
-            f"unknown scheduler: {name}; valid: {', '.join(SCHEDULER_NAMES)}",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        frontend = _parse_frontend(args)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if not _check_stream_flags(args):
-        return 2
+    name = _scheduler_name(args.scheduler)
     users = args.users if args.users is not None else args.shards
-    try:
-        config = FederationConfig(
-            shards=args.shards,
-            router=args.router,
-            replication=args.replication,
-            run=RunConfig(
-                drain=args.drain,
-                metrics=bool(args.metrics),
-                frontend=frontend,
-                stream=_stream_config(args),
-            ),
-            workers=args.workers,
-            frontend_scope=args.frontend_scope,
-        )
-        scenario = make_scenario(
-            args.scenario,
-            scale=args.scale,
-            seed=args.seed,
-            load=args.load,
-            users=users,
-        )
-        objectives = [
-            SLObjective.parse(spec, window=args.slo_window)
-            for spec in (args.slo or [f"fps={scenario.target_framerate:g}"])
-        ]
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    config = FederationConfig(
+        shards=args.shards,
+        router=args.router,
+        replication=args.replication,
+        run=_run_config(args, frontend=_parse_frontend(args)),
+        workers=args.workers,
+        frontend_scope=args.frontend_scope,
+    )
+    scenario = _scenario(args, users=users)
+    objectives = _objectives(args, scenario)
     print(scenario.summary())
     print(
         f"federation: {config.shards} shard(s), router={config.router}, "
@@ -931,9 +905,7 @@ def cmd_federate(args: argparse.Namespace) -> int:
             )
         merged_anomalies = result.merged_anomalies()
         if merged_anomalies:
-            from collections import Counter as _Counter
-
-            kinds = _Counter(a.kind for a in merged_anomalies)
+            kinds = Counter(a.kind for a in merged_anomalies)
             mix = ", ".join(
                 f"{kind}={count}" for kind, count in sorted(kinds.items())
             )
@@ -942,11 +914,8 @@ def cmd_federate(args: argparse.Namespace) -> int:
                 f"{len(merged_anomalies)} ({mix})"
             )
     if args.metrics:
-        base = Path(args.metrics)
         for index, shard_result in enumerate(result.shard_results):
-            path = base.with_name(
-                f"{base.stem}.shard{index}{base.suffix or '.jsonl'}"
-            )
+            path = tagged_path(args.metrics, f"shard{index}", ".jsonl")
             run_metrics = shard_result.metrics
             run_metrics.write_jsonl(path)
             run_metrics.write_prometheus(path.with_suffix(".prom"))
@@ -955,8 +924,6 @@ def cmd_federate(args: argparse.Namespace) -> int:
                 f"(+ {path.with_suffix('.prom').name})"
             )
     if args.out:
-        from repro.obs import render_federation_html, write_report
-
         page = render_federation_html(result, version=package_version())
         write_report(args.out, page)
         print(f"wrote {args.out}")
@@ -965,47 +932,14 @@ def cmd_federate(args: argparse.Namespace) -> int:
 
 def cmd_explain(args: argparse.Namespace) -> int:
     """Diff two schedulers' decisions + phase attribution on one scenario."""
-    from repro.obs import AuditConfig, first_divergence, phase_delta_table
-
-    names = [n.strip().upper() for n in args.schedulers.split(",") if n.strip()]
+    names = _scheduler_list(args.schedulers)
     if len(names) != 2:
-        print(
-            f"explain needs exactly two schedulers, got {len(names)}",
-            file=sys.stderr,
+        raise ValueError(
+            f"explain needs exactly two schedulers, got {len(names)}"
         )
-        return 2
-    unknown = [n for n in names if n not in SCHEDULER_NAMES]
-    if unknown:
-        print(
-            f"unknown scheduler(s): {', '.join(unknown)}; "
-            f"valid: {', '.join(SCHEDULER_NAMES)}",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        scenario = make_scenario(
-            args.scenario, scale=args.scale, seed=args.seed, load=args.load
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if not _check_stream_flags(args):
-        return 2
+    scenario = _scenario(args)
     print(scenario.summary())
-    # The divergence diff needs the full decision stream, not a ring
-    # window — run with unbounded capacity.
-    results = [
-        run_simulation(
-            scenario,
-            name,
-            config=RunConfig(
-                drain=args.drain,
-                audit=AuditConfig(capacity=None),
-                stream=_stream_config(args, run_name=name),
-            ),
-        )
-        for name in names
-    ]
+    results = _audited_runs(args, scenario, names)
     for result in results:
         audit = result.audit
         reasons = ", ".join(
@@ -1066,75 +1000,23 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     """Render the self-contained HTML run report (optionally A/B)."""
-    from repro.obs import (
-        AuditConfig,
-        SLObjective,
-        SLOMonitor,
-        Tracer,
-        first_divergence,
-        render_report_html,
-        render_timeline_svg,
-        write_report,
-    )
-
-    names = [n.strip().upper() for n in args.schedulers.split(",") if n.strip()]
+    names = _scheduler_list(args.schedulers)
     if not 1 <= len(names) <= 2:
-        print(
-            f"report takes one or two schedulers, got {len(names)}",
-            file=sys.stderr,
+        raise ValueError(
+            f"report takes one or two schedulers, got {len(names)}"
         )
-        return 2
-    unknown = [n for n in names if n not in SCHEDULER_NAMES]
-    if unknown:
-        print(
-            f"unknown scheduler(s): {', '.join(unknown)}; "
-            f"valid: {', '.join(SCHEDULER_NAMES)}",
-            file=sys.stderr,
-        )
-        return 2
     if args.bins < 1:
-        print(f"--bins must be >= 1, got {args.bins}", file=sys.stderr)
-        return 2
-    if not _check_stream_flags(args):
-        return 2
+        raise ValueError(f"--bins must be >= 1, got {args.bins}")
     plan = None
     if args.plan is not None:
-        from repro.faults import FaultPlan
-
-        try:
-            plan = FaultPlan.parse(args.plan, heal=True)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-    models = []
-    results = []
-    for name in names:
-        try:
-            scenario = make_scenario(
-                args.scenario, scale=args.scale, seed=args.seed, load=args.load
-            )
-            objectives = [
-                SLObjective.parse(spec)
-                for spec in (
-                    args.slo or [f"fps={scenario.target_framerate:g}"]
-                )
-            ]
-            config = RunConfig(
-                drain=args.drain,
-                tracer=Tracer(),
-                audit=AuditConfig(capacity=None),
-                faults=plan,
-                stream=_stream_config(
-                    args, run_name=name if len(names) > 1 else None
-                ),
-            )
-            result = run_simulation(scenario, name, config=config)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        slo_reports = SLOMonitor(objectives).evaluate(result)
-        results.append(result)
-        models.append(result.timeline(slo_reports=slo_reports))
+        plan = FaultPlan.parse(args.plan, heal=True)
+    scenario = _scenario(args)
+    objectives = _objectives(args, scenario)
+    results = _audited_runs(args, scenario, names, traced=True, faults=plan)
+    models = [
+        result.timeline(slo_reports=SLOMonitor(objectives).evaluate(result))
+        for result in results
+    ]
     divergence = None
     if len(results) == 2:
         divergence = first_divergence(results[0].audit, results[1].audit)
@@ -1152,11 +1034,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.svg is not None:
         div_time = divergence.a.time if divergence is not None else None
         for model in models:
-            path = Path(args.svg)
-            if len(models) > 1:
-                path = path.with_name(
-                    f"{path.stem}.{model.scheduler}{path.suffix or '.svg'}"
-                )
+            tag = model.scheduler if len(models) > 1 else None
+            path = tagged_path(args.svg, tag, ".svg")
             write_report(
                 str(path),
                 render_timeline_svg(
@@ -1169,54 +1048,21 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_faults(args: argparse.Namespace) -> int:
     """Inject a fault plan, print detection/recovery/RCA reports."""
-    import json
-
-    from repro.faults import FaultPlan, analyze, score
-    from repro.obs import AuditConfig, SLObjective, SLOMonitor, slo_table
-
-    name = args.scheduler.strip().upper()
-    if name not in SCHEDULER_NAMES:
-        print(
-            f"unknown scheduler: {name}; valid: {', '.join(SCHEDULER_NAMES)}",
-            file=sys.stderr,
-        )
-        return 2
+    name = _scheduler_name(args.scheduler)
     if args.plan is not None and args.storm is not None:
-        print("pass either --plan or --storm, not both", file=sys.stderr)
-        return 2
-    if not _check_stream_flags(args):
-        return 2
-    try:
-        scenario = make_scenario(
-            args.scenario, scale=args.scale, seed=args.seed, load=args.load
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        raise ValueError("pass either --plan or --storm, not both")
+    scenario = _scenario(args)
     heal = not args.no_heal
-    try:
-        if args.plan is not None:
-            plan = FaultPlan.parse(args.plan, heal=heal)
-        else:
-            plan = FaultPlan.storm(
-                args.storm if args.storm is not None else 11,
-                node_count=scenario.system.node_count,
-                duration=scenario.trace.duration,
-                heal=heal,
-            )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    try:
-        objectives = [
-            SLObjective.parse(spec, window=args.slo_window)
-            for spec in (
-                args.slo or [f"fps={scenario.target_framerate:g}"]
-            )
-        ]
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    if args.plan is not None:
+        plan = FaultPlan.parse(args.plan, heal=heal)
+    else:
+        plan = FaultPlan.storm(
+            args.storm if args.storm is not None else 11,
+            node_count=scenario.system.node_count,
+            duration=scenario.trace.duration,
+            heal=heal,
+        )
+    objectives = _objectives(args, scenario)
     print(scenario.summary())
     print(plan.describe())
     print()
@@ -1225,17 +1071,8 @@ def cmd_faults(args: argparse.Namespace) -> int:
         capacity=None,
         jsonl_path=Path(args.audit) if args.audit else None,
     )
-    config = RunConfig(
-        drain=True,
-        audit=audit_cfg,
-        faults=plan,
-        stream=_stream_config(args),
-    )
-    try:
-        result = run_simulation(scenario, name, config=config)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    config = _run_config(args, drain=True, audit=audit_cfg, faults=plan)
+    result = run_simulation(scenario, name, config=config)
     report = result.fault_report
     print(f"{name}: {report.summary()}")
     print(
@@ -1286,8 +1123,6 @@ def cmd_faults(args: argparse.Namespace) -> int:
     )
     anomaly_grade = None
     if result.stream is not None:
-        from repro.obs import score_anomalies
-
         stream_report = result.stream
         print()
         print(
@@ -1361,22 +1196,16 @@ def _watch_row(snapshot: dict, horizon: Optional[float]) -> str:
 
 def cmd_watch(args: argparse.Namespace) -> int:
     """Tail a telemetry stream file into a live terminal status table."""
-    from repro.obs import follow_stream, iter_jsonl
-
     if args.poll <= 0:
-        print(f"--poll must be > 0, got {args.poll:g}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--poll must be > 0, got {args.poll:g}")
     if args.idle_timeout <= 0:
-        print(
-            f"--idle-timeout must be > 0, got {args.idle_timeout:g}",
-            file=sys.stderr,
+        raise ValueError(
+            f"--idle-timeout must be > 0, got {args.idle_timeout:g}"
         )
-        return 2
     path = Path(args.path)
     if args.once:
         if not path.exists():
-            print(f"no stream file at {path}", file=sys.stderr)
-            return 2
+            raise ValueError(f"no stream file at {path}")
         records = iter_jsonl(path)
     else:
         records = follow_stream(
@@ -1464,8 +1293,6 @@ def cmd_render(args: argparse.Namespace) -> int:
     tf = _TFS[args.tf]()
     lighting = None
     if args.shaded:
-        from repro.render.shading import Lighting
-
         lighting = Lighting()
     result = render_sort_last(
         volume,
@@ -1489,9 +1316,6 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 def cmd_animate(args: argparse.Namespace) -> int:
     """Render an orbit animation of a synthetic dataset to PPM frames."""
-    from repro.render.animation import OrbitPath, render_animation
-    from repro.render.shading import Lighting
-
     volume = make_volume(args.dataset, (args.size, args.size, args.size))
     result = render_animation(
         volume,
@@ -1513,8 +1337,6 @@ def cmd_animate(args: argparse.Namespace) -> int:
 
 def cmd_schedulers(_args: argparse.Namespace) -> int:
     """List the registered scheduling policies."""
-    from repro.core.registry import make_scheduler
-
     for name in SCHEDULER_NAMES:
         sched = make_scheduler(name)
         print(f"{name:<8} trigger={sched.trigger.value:<10} {type(sched).__doc__.strip().splitlines()[0]}")
@@ -1545,9 +1367,20 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    A ``ValueError`` from any verb is a rejected flag or config: its
+    message goes to stderr and the exit code is 2.
+    """
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        stall_timeout = getattr(args, "stall_timeout", None)
+        if stall_timeout is not None and not args.stream:
+            raise ValueError("--stall-timeout requires --stream")
+        return _COMMANDS[args.command](args)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

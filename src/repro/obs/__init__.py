@@ -130,6 +130,7 @@ from repro.obs.stream import (
     follow_stream,
     iter_jsonl,
     read_stream,
+    tagged_path,
 )
 from repro.obs.tracer import (
     CAT_CACHE,
@@ -237,6 +238,7 @@ __all__ = [
     "follow_stream",
     "iter_jsonl",
     "read_stream",
+    "tagged_path",
     "ANOMALY_KINDS",
     "FAULT_SIGNATURES",
     "AnomalyConfig",

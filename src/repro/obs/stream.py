@@ -55,7 +55,7 @@ import json
 import math
 import threading
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Union
 
@@ -107,15 +107,24 @@ class StreamConfig:
         runs give every shard its own stream file so worker processes
         never share a write handle.
         """
-        path = Path(self.path)
-        suffix = path.suffix or ".ndjson"
-        return StreamConfig(
-            path=path.with_name(f"{path.stem}.shard{shard}{suffix}"),
-            wall_interval=self.wall_interval,
-            stall_timeout=self.stall_timeout,
-            anomalies=self.anomalies,
-            anomaly_config=self.anomaly_config,
-        )
+        path = tagged_path(self.path, f"shard{shard}", ".ndjson")
+        return replace(self, path=path)
+
+
+def tagged_path(
+    path: Union[str, Path], tag: Optional[str], suffix: str
+) -> Path:
+    """Name one run's (or shard's) output file: ``<stem>.<tag><suffix>``.
+
+    The one naming rule for every per-run and per-shard obs output
+    (streams, metrics, traces, audit logs, timeline SVGs): ``tag`` goes
+    before the file extension, and ``suffix`` stands in when ``path``
+    has none.  ``tag=None`` (a single run) leaves ``path`` as given.
+    """
+    path = Path(path)
+    if tag is None:
+        return path
+    return path.with_name(f"{path.stem}.{tag}{path.suffix or suffix}")
 
 
 def iter_jsonl(path: Union[str, Path]) -> Iterator[Dict[str, Any]]:

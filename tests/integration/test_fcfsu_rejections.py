@@ -112,3 +112,16 @@ class TestCli:
         )
         assert code == 2
         assert "FCFSU cannot run a fault plan" in capsys.readouterr().err
+
+    def test_federate_degrade_exits_2(self, capsys):
+        code = main(
+            [
+                "federate",
+                "--scenario", "2",
+                "--scale", "0.02",
+                "--scheduler", "FCFSU",
+                "--degrade",
+            ]
+        )
+        assert code == 2
+        assert "FCFSU cannot run behind a frontend" in capsys.readouterr().err
