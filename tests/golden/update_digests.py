@@ -5,8 +5,9 @@ Each trace cell runs one scenario under one scheduler with
 hash and length.  Each observation cell runs with every observer on
 (tracer, metrics, timeline, stream) and pins one hash per observer
 output; each sink cell pins ``events_processed`` with exactly one
-observer on.  Each CLI parser cell pins one verb's flags, defaults and
-help text; each CLI output cell runs ``repro.cli.main`` on fixed argv
+observer on.  Each metrics cell pins the final metrics registry of one
+run (its JSONL snapshot and its Prometheus text).  Each CLI parser cell
+pins one verb's flags, defaults and help text; each CLI output cell runs ``repro.cli.main`` on fixed argv
 and pins the exit codes, stderr, stdout with its wall-clock fields
 masked, and the names of the files written.
 ``tests/sim/test_golden_digests.py`` recomputes every cell and compares
@@ -44,6 +45,12 @@ if __name__ == "__main__":
 from repro.cli import build_parser, main as cli_main  # noqa: E402
 from repro.core.registry import SCHEDULER_NAMES  # noqa: E402
 from repro.faults.plan import FaultPlan  # noqa: E402
+from repro.frontend.config import (  # noqa: E402
+    AdmissionConfig,
+    BackpressureConfig,
+    DegradeConfig,
+    FrontendConfig,
+)
 from repro.obs.stream import StreamConfig, read_stream  # noqa: E402
 from repro.obs.tracer import Tracer  # noqa: E402
 from repro.sim.run_config import RunConfig  # noqa: E402
@@ -98,6 +105,22 @@ SINK_CELLS: List[Tuple[str, str]] = [
     (f"events:s2@0.1/OURS+{sink}", sink) for sink in SINKS
 ]
 
+#: Metrics cells: ``(key, scenario number, scale, scheduler, variant)``
+#: run with ``metrics=True``.  ``variant`` is ``None``, ``"overload"``
+#: (the frontend and 2.5x load of ``cli:simulate-overload``) or
+#: ``"storm"`` (the healed storm below); s3 under FCFS is I/O-heavy.
+METRICS_STORM_SEED = 11
+METRICS_CELLS: List[Tuple[str, int, float, str, Optional[str]]] = [
+    ("metrics:s2@0.1/OURS", 2, 0.1, "OURS", None),
+    ("metrics:s2@0.1/FCFS", 2, 0.1, "FCFS", None),
+    ("metrics:s2@0.03/OURS+overload", 2, 0.03, "OURS", "overload"),
+    (f"metrics:s1@0.1/OURS+storm{METRICS_STORM_SEED}", 1, 0.1, "OURS", "storm"),
+    ("metrics:s3@0.05/FCFS", 3, 0.05, "FCFS", None),
+]
+
+#: The scheduler-cost histogram times invocations on the wall clock;
+#: the metrics hashes keep only its observation count.
+SCHED_COST = "repro_sched_cost_seconds"
 
 #: CLI parser cells: ``(key, verb)``, one per subcommand.
 CLI_VERBS = [
@@ -283,6 +306,57 @@ def compute_sink_events(sink: str) -> Dict[str, object]:
     return {"events_processed": result.events_processed}
 
 
+def metrics_run(
+    number: int,
+    scale: float,
+    scheduler: str,
+    variant: Optional[str],
+    registry=None,
+):
+    """Run one metrics cell (into ``registry`` when one is given)."""
+    load = 2.5 if variant == "overload" else 1.0
+    scenario = make_scenario(number, scale=scale, load=load)
+    frontend = faults = None
+    if variant == "overload":
+        frontend = FrontendConfig(
+            admission=AdmissionConfig(max_sessions=8),
+            backpressure=BackpressureConfig(queue_limit=32, policy="shed-oldest"),
+            degrade=DegradeConfig(),
+        )
+    elif variant == "storm":
+        faults = FaultPlan.storm(
+            METRICS_STORM_SEED,
+            node_count=scenario.system.node_count,
+            duration=scenario.trace.duration,
+            heal=True,
+        )
+    config = RunConfig(
+        metrics=registry if registry is not None else True,
+        frontend=frontend,
+        faults=faults,
+    )
+    return run_simulation(scenario, scheduler, config)
+
+
+def compute_metrics_digest(
+    number: int, scale: float, scheduler: str, variant: Optional[str]
+) -> Dict[str, object]:
+    """Hash one run's final registry: JSONL snapshot and Prometheus text."""
+    registry = metrics_run(number, scale, scheduler, variant).metrics.registry
+    snapshot = [
+        {k: row[k] for k in ("name", "kind", "labels", "count")}
+        if row["name"] == SCHED_COST
+        else row
+        for row in registry.snapshot()
+    ]
+    prometheus = [
+        line
+        for line in registry.to_prometheus().splitlines()
+        if not line.startswith((f"{SCHED_COST}_bucket", f"{SCHED_COST}_sum"))
+    ]
+    return {"snapshot": _hash_rows(snapshot), "prometheus": _hash_rows(prometheus)}
+
+
 def compute_cli_parser_digest(verb: str) -> Dict[str, object]:
     """Hash one verb's parser spec (not its ``--help`` rendering, which
     differs between Python versions)."""
@@ -356,6 +430,8 @@ def main() -> int:
         digests[key] = compute_observation_digest(number, scale, scheduler)
     for key, sink in SINK_CELLS:
         digests[key] = compute_sink_events(sink)
+    for key, number, scale, scheduler, variant in METRICS_CELLS:
+        digests[key] = compute_metrics_digest(number, scale, scheduler, variant)
     for key, verb in CLI_PARSER_CELLS:
         digests[key] = compute_cli_parser_digest(verb)
     for key, steps, files in CLI_CELLS:

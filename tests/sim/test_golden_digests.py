@@ -5,7 +5,8 @@ so a deterministic change in behaviour passes them all.  These tests
 compare each cell against ``tests/golden/digests.json``: the
 assignment-trace hash and length of every trace cell, the per-observer
 output hashes of every observation cell, ``events_processed`` of every
-single-observer cell, each CLI verb's parser spec, and the exit codes,
+single-observer cell, the final metrics registry of every metrics
+cell, each CLI verb's parser spec, and the exit codes,
 output and written files of every CLI case.  Regenerate the file only with
 ``python tests/golden/update_digests.py`` and a stated reason.
 """
@@ -16,11 +17,13 @@ from tests.golden.update_digests import (
     CELLS,
     CLI_CELLS,
     CLI_PARSER_CELLS,
+    METRICS_CELLS,
     OBS_CELLS,
     SINK_CELLS,
     compute_cli_digest,
     compute_cli_parser_digest,
     compute_digest,
+    compute_metrics_digest,
     compute_observation_digest,
     compute_sink_events,
     load_digests,
@@ -30,7 +33,9 @@ DIGESTS = load_digests()
 
 
 def test_every_cell_is_pinned():
-    cells = CELLS + OBS_CELLS + SINK_CELLS + CLI_PARSER_CELLS + CLI_CELLS
+    cells = (
+        CELLS + OBS_CELLS + SINK_CELLS + METRICS_CELLS + CLI_PARSER_CELLS + CLI_CELLS
+    )
     keys = [cell[0] for cell in cells]
     assert sorted(DIGESTS) == sorted(keys)
 
@@ -56,6 +61,17 @@ def test_observation_matches_golden_digest(key, number, scale, scheduler):
 @pytest.mark.parametrize("key,sink", SINK_CELLS, ids=[cell[0] for cell in SINK_CELLS])
 def test_single_observer_event_count_matches_golden(key, sink):
     assert compute_sink_events(sink) == DIGESTS[key], key
+
+
+@pytest.mark.parametrize(
+    "key,number,scale,scheduler,variant",
+    METRICS_CELLS,
+    ids=[cell[0] for cell in METRICS_CELLS],
+)
+def test_metrics_registry_matches_golden(key, number, scale, scheduler, variant):
+    expected = DIGESTS[key]
+    assert all(part["length"] > 0 for part in expected.values())
+    assert compute_metrics_digest(number, scale, scheduler, variant) == expected, key
 
 
 @pytest.mark.parametrize(
