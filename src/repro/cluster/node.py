@@ -76,7 +76,6 @@ class RenderNode:
         "io_factor",
         "_tracer",
         "_flows",
-        "_metrics",
         "_pid",
         "_slot_of",
         "_free_slots",
@@ -140,7 +139,6 @@ class RenderNode:
         # observability (None → zero-cost: one identity check per task)
         self._tracer = None
         self._flows = False
-        self._metrics = None
         self._pid = 0
         self._slot_of: dict = {}
         self._free_slots: list = []
@@ -228,35 +226,6 @@ class RenderNode:
         this on when a run carries both a tracer and an audit log.
         """
         self._flows = bool(enabled)
-
-    def set_metrics(self, registry) -> None:
-        """Publish this node's task/cache/I/O counters into ``registry``.
-
-        The bound counters are cluster aggregates (all nodes increment
-        the same series) — per-node breakdowns stay the tracer's job.
-        Pass ``None`` to detach (the hot path then pays one identity
-        check, like a detached tracer).
-        """
-        if registry is None:
-            self._metrics = None
-            return
-        self._metrics = (
-            registry.counter(
-                "repro_tasks_executed", "render tasks begun executing"
-            ),
-            registry.counter(
-                "repro_cache_hits", "tasks whose chunk was memory-resident"
-            ),
-            registry.counter(
-                "repro_cache_misses", "tasks that paid a storage load"
-            ),
-            registry.counter(
-                "repro_io_seconds", "simulated seconds spent loading chunks"
-            ),
-            registry.counter(
-                "repro_io_timeouts", "chunk loads abandoned at the I/O deadline"
-            ),
-        )
 
     def _on_cache_event(self, kind: str, chunk) -> None:
         """Cache observer: emit insert/evict instants.
@@ -358,8 +327,6 @@ class RenderNode:
         ):
             self._storage.end_load(chunk.size)
             self.io_timeouts += 1
-            if self._metrics is not None:
-                self._metrics[4].inc()
             delay = spec.timeout + spec.backoff * (2.0 ** attempt)
             self._events.schedule(
                 now + delay,
@@ -418,15 +385,6 @@ class RenderNode:
 
         task.io_time = waited + io_time
         self.io_seconds += waited + io_time
-        metrics = self._metrics
-        if metrics is not None:
-            m_tasks, m_hits, m_misses, m_io, _ = metrics
-            m_tasks.inc()
-            if hit:
-                m_hits.inc()
-            else:
-                m_misses.inc()
-                m_io.inc(waited + io_time)
         exec_time = io_time + upload_time + render_time
         tracer = self._tracer
         if tracer is not None:
@@ -568,11 +526,6 @@ class RenderNode:
             task.io_time = 0.0
             task.cache_hit = None
         self.cache.clear()
-        if self._vram is not None:
-            # VRAM contents die with the node; a revived node starts
-            # with whatever the (now cold) model still tracks, which the
-            # first accesses repopulate.
-            pass
         return orphans
 
     def revive(self) -> None:

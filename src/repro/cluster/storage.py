@@ -93,18 +93,7 @@ class StorageModel:
         self._active_bytes = 0
         self._total_loads = 0
         self._total_bytes = 0
-        self._metrics = None
         self._rng: np.random.Generator = make_rng(seed)
-
-    def set_metrics(self, registry) -> None:
-        """Publish load/byte counters into ``registry`` (``None`` detaches)."""
-        if registry is None:
-            self._metrics = None
-            return
-        self._metrics = (
-            registry.counter("repro_io_loads", "chunk loads started"),
-            registry.counter("repro_io_bytes", "bytes requested from storage"),
-        )
 
     # -- inspection --------------------------------------------------------
 
@@ -115,12 +104,7 @@ class StorageModel:
 
     @property
     def active_bytes(self) -> int:
-        """Bytes of I/O currently in flight (observability counter).
-
-        Exact when callers pass the load size back to :meth:`end_load`;
-        legacy zero-argument ``end_load`` calls only decrement the load
-        count, so the byte gauge is best-effort for such callers.
-        """
+        """Bytes of I/O currently in flight (observability counter)."""
         return self._active_bytes
 
     @property
@@ -163,10 +147,6 @@ class StorageModel:
         self._active_bytes += nbytes
         self._total_loads += 1
         self._total_bytes += nbytes
-        if self._metrics is not None:
-            m_loads, m_bytes = self._metrics
-            m_loads.inc()
-            m_bytes.inc(nbytes)
         bw = self.effective_bandwidth(self._active_loads)
         duration = self.spec.latency + nbytes / bw
         if self.spec.jitter:
@@ -175,14 +155,8 @@ class StorageModel:
             )
         return duration
 
-    def end_load(self, nbytes: int = 0) -> None:
-        """Mark one in-flight load as finished.
-
-        Args:
-            nbytes: Size of the finished load, used to keep the
-                :attr:`active_bytes` gauge exact.  Callers that don't
-                track sizes may omit it (the gauge then under-reports).
-        """
+    def end_load(self, nbytes: int) -> None:
+        """Mark one in-flight load of ``nbytes`` as finished."""
         if self._active_loads <= 0:
             raise RuntimeError("end_load without matching begin_load")
         self._active_loads -= 1

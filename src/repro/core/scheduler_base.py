@@ -72,10 +72,6 @@ class SchedulerContext:
     is off): the service emits one span per scheduler invocation, and
     policies may add their own instants/spans for decisions worth seeing
     on the timeline (guard with ``if ctx.tracer is not None``).
-    ``metrics`` is likewise the run's
-    :class:`~repro.obs.metrics.MetricsRegistry` (or ``None`` when the
-    metrics layer is off): policies may publish their own counters or
-    histograms (guard with ``if ctx.metrics is not None``).
     ``audit`` is the run's :class:`~repro.obs.audit.AuditLog` (or
     ``None``, the default): when present, every :meth:`assign` also
     records a decision-audit entry with the candidate-node snapshot and
@@ -87,7 +83,6 @@ class SchedulerContext:
         "tables",
         "decomposition",
         "tracer",
-        "metrics",
         "audit",
         "_audit_record",
         "_tables_record",
@@ -103,14 +98,12 @@ class SchedulerContext:
         decomposition: DecompositionPolicy,
         *,
         tracer=None,
-        metrics=None,
         audit=None,
     ) -> None:
         self.cluster = cluster
         self.tables = tables
         self.decomposition = decomposition
         self.tracer = tracer
-        self.metrics = metrics
         self.audit = audit
         # Pre-bound audit hook (or None): assign() pays one load and one
         # identity check on the unaudited path.

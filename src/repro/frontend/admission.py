@@ -91,7 +91,7 @@ class AdmissionController:
     #: counters keep exact totals beyond it.
     MAX_RECORDS = 1024
 
-    def __init__(self, config: AdmissionConfig, *, metrics=None) -> None:
+    def __init__(self, config: AdmissionConfig) -> None:
         self.config = config
         self._buckets: Dict[int, TokenBucket] = {}
         self._session_last_seen: Dict[int, float] = {}
@@ -100,20 +100,6 @@ class AdmissionController:
         self.rejected_rate = 0
         self.rejected_sessions = 0
         self.records: List[AdmissionRecord] = []
-        self._m_admitted = self._m_rejected = None
-        if metrics is not None:
-            self._m_admitted = metrics.counter(
-                "repro_frontend_admitted",
-                "requests admitted by the frontend",
-            )
-            self._m_rejected = {
-                d: metrics.counter(
-                    "repro_frontend_rejected",
-                    "requests rejected by admission control",
-                    labels={"reason": d.value},
-                )
-                for d in (Decision.REJECT_RATE, Decision.REJECT_SESSIONS)
-            }
 
     # -- inspection --------------------------------------------------------
 
@@ -146,8 +132,6 @@ class AdmissionController:
         decision = self._classify(request, now)
         if decision.admitted:
             self.admitted += 1
-            if self._m_admitted is not None:
-                self._m_admitted.inc()
             return decision
         if decision is Decision.REJECT_RATE:
             self.rejected_rate += 1
@@ -157,8 +141,6 @@ class AdmissionController:
             self.records.append(
                 AdmissionRecord(now, request.user, request.action, decision)
             )
-        if self._m_rejected is not None:
-            self._m_rejected[decision].inc()
         return decision
 
     def _classify(self, request: Request, now: float) -> Decision:

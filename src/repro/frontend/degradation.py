@@ -48,8 +48,6 @@ class DegradationController:
         self,
         config: DegradeConfig,
         target_fps: float,
-        *,
-        metrics=None,
     ) -> None:
         self.config = config
         self.target_fps = (
@@ -75,16 +73,6 @@ class DegradationController:
             )
             for lv in config.ladder
         )
-        self._m_level = self._m_dropped = None
-        if metrics is not None:
-            self._m_level = metrics.gauge(
-                "repro_frontend_quality_level",
-                "current quality-ladder rung (0 = full quality)",
-            )
-            self._m_dropped = metrics.counter(
-                "repro_frontend_frames_dropped",
-                "interactive frames withheld by degradation",
-            )
 
     # -- state -------------------------------------------------------------
 
@@ -111,8 +99,6 @@ class DegradationController:
         keep = int((sequence + 1) * f) > int(sequence * f)
         if not keep:
             self.frames_dropped += 1
-            if self._m_dropped is not None:
-                self._m_dropped.inc()
         return keep
 
     # -- sampling ----------------------------------------------------------
@@ -208,8 +194,6 @@ class DegradationController:
         self.changes.append(
             QualityChange(now, target, level.name, reason, burn)
         )
-        if self._m_level is not None:
-            self._m_level.set(float(target))
 
 
 __all__ = ["QualityChange", "DegradationController"]

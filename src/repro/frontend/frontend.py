@@ -66,6 +66,11 @@ class FrontendStats:
         return self.rejected_rate + self.rejected_sessions
 
     @property
+    def admitted(self) -> int:
+        """Requests past admission control (every request, without it)."""
+        return self.requests_seen - self.rejected
+
+    @property
     def shed(self) -> int:
         """Requests dropped by the bounded queue."""
         return self.shed_oldest + self.shed_newest
@@ -92,8 +97,6 @@ class ServiceFrontend:
             degradation controller's default objective).
         horizon: Trace duration; bounds the controller's sampling loop
             in non-drain runs.
-        metrics: Optional :class:`~repro.obs.metrics.MetricsRegistry`;
-            when given, every gate publishes its counters/gauges.
         audit: Optional :class:`~repro.obs.audit.AuditLog`; when given,
             entry-gate refusals (admission rejects, thinned frames) are
             recorded as ``shed`` decisions.
@@ -106,7 +109,6 @@ class ServiceFrontend:
         *,
         target_framerate: float,
         horizon: Optional[float] = None,
-        metrics=None,
         audit=None,
     ) -> None:
         self.config = config
@@ -117,14 +119,12 @@ class ServiceFrontend:
         self.forwarded = 0
         self.degraded_jobs = 0
         self.admission: Optional[AdmissionController] = (
-            AdmissionController(config.admission, metrics=metrics)
+            AdmissionController(config.admission)
             if config.admission is not None
             else None
         )
         self.degradation: Optional[DegradationController] = (
-            DegradationController(
-                config.degrade, target_framerate, metrics=metrics
-            )
+            DegradationController(config.degrade, target_framerate)
             if config.degrade is not None
             else None
         )
@@ -133,7 +133,6 @@ class ServiceFrontend:
                 config.backpressure,
                 service,
                 self._forward,
-                metrics=metrics,
                 on_overflow=(
                     self.degradation.overflow_nudge
                     if self.degradation is not None

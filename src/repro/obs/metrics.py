@@ -20,10 +20,14 @@ continuously-measured quantities behind the paper's evaluation
   refreshes the registry's pressure gauges, attached to
   :class:`~repro.sim.simulator.SimulationResult` as ``.metrics``.
 
-Disabled runs pay nothing: instrumentation sites hold ``None`` and
-guard with one identity check, the same discipline the tracer uses.
-When enabled, publishing is bound-attribute counter increments — the
-enabled-registry overhead is bounded by the tracer-overhead bench
+Nothing on the simulation's hot paths holds a registry handle.
+:class:`RunMetrics` declares every series when the run starts and
+fills them once, after the event loop, from the tallies the run keeps
+anyway (node and storage counters, the collector's job records and
+scheduling stats, the frontend's accounting).  The one live series is
+the scheduler-cost histogram, a wall-clock observation per scheduler
+invocation that no tally holds.  The enabled-registry overhead is
+bounded by the tracer-overhead bench
 (``benchmarks/bench_tracer_overhead.py``) at <= 10% versus a
 :class:`~repro.obs.tracer.NullTracer` run.
 
@@ -43,11 +47,26 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
+from repro.core.job import JobType
 from repro.util.validation import check_positive
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.frontend.config import FrontendConfig
 
 #: Label sets are stored canonically as sorted ``(key, value)`` tuples.
 LabelKey = Tuple[Tuple[str, str], ...]
@@ -238,10 +257,10 @@ class MetricsRegistry:
     """Namespace of metrics, keyed by ``(name, labels)``.
 
     ``counter`` / ``gauge`` / ``histogram`` are get-or-create: the first
-    call defines the metric (and, for histograms, its buckets), later
-    calls return the same object — so publishers can bind metric
-    references once and increment bound attributes on the hot path.
-    Registering the same name as two different kinds is an error.
+    call defines the metric (and, for histograms, its buckets) and fixes
+    its place in the exports, later calls return the same object — so
+    runs sharing one registry add into the same series.  Registering the
+    same name as two different kinds is an error.
     """
 
     def __init__(self) -> None:
@@ -437,6 +456,49 @@ class MetricWindow:
 # Per-run bundle
 # ---------------------------------------------------------------------------
 
+#: The counters and gauges :meth:`RunMetrics.publish` fills from a run's
+#: tallies, in export order: ``(frontend gate, kind, name, labels,
+#: tally, help)``.  A gated series exists only when the run's
+#: :class:`~repro.frontend.config.FrontendConfig` sets that gate;
+#: ``tally`` names a node counter summed over the cluster, a storage
+#: total, or a :class:`~repro.frontend.frontend.FrontendStats` field.
+_TALLIED = (
+    ("admission", "counter", "repro_frontend_admitted", None, "admitted",
+     "requests admitted by the frontend"),
+    ("admission", "counter", "repro_frontend_rejected",
+     {"reason": "reject-rate"}, "rejected_rate",
+     "requests rejected by admission control"),
+    ("admission", "counter", "repro_frontend_rejected",
+     {"reason": "reject-sessions"}, "rejected_sessions",
+     "requests rejected by admission control"),
+    ("degrade", "gauge", "repro_frontend_quality_level", None,
+     "final_quality_level", "current quality-ladder rung (0 = full quality)"),
+    ("degrade", "counter", "repro_frontend_frames_dropped", None,
+     "frames_dropped", "interactive frames withheld by degradation"),
+    ("backpressure", "gauge", "repro_frontend_wait_depth", None,
+     "unserved_at_end", "requests parked in the frontend wait queue"),
+    ("backpressure", "counter", "repro_frontend_deferred", None, "deferred",
+     "requests deferred by backpressure"),
+    ("backpressure", "counter", "repro_frontend_shed", {"which": "oldest"},
+     "shed_oldest", "requests shed by the bounded queue"),
+    ("backpressure", "counter", "repro_frontend_shed", {"which": "newest"},
+     "shed_newest", "requests shed by the bounded queue"),
+    (None, "counter", "repro_tasks_executed", None, "tasks_begun",
+     "render tasks begun executing"),
+    (None, "counter", "repro_cache_hits", None, "cache_hits",
+     "tasks whose chunk was memory-resident"),
+    (None, "counter", "repro_cache_misses", None, "cache_misses",
+     "tasks that paid a storage load"),
+    (None, "counter", "repro_io_seconds", None, "io_seconds",
+     "simulated seconds spent loading chunks"),
+    (None, "counter", "repro_io_timeouts", None, "io_timeouts",
+     "chunk loads abandoned at the I/O deadline"),
+    (None, "counter", "repro_io_loads", None, "total_loads",
+     "chunk loads started"),
+    (None, "counter", "repro_io_bytes", None, "total_bytes",
+     "bytes requested from storage"),
+)
+
 
 @dataclass
 class RunMetrics:
@@ -444,20 +506,63 @@ class RunMetrics:
 
     Attached to :class:`~repro.sim.simulator.SimulationResult` as
     ``.metrics`` when the run was started with ``metrics=True`` (or an
-    explicit registry).  During the run it is a
-    :class:`~repro.obs.probe.Probe` sink: each tick appends the closed
-    window and refreshes the registry's pressure gauges.
+    explicit registry).  Construction declares every series of the run
+    in export order: the service's, the configured ``frontend`` gates',
+    the nodes', the storage's, then the pressure gauges.  During the run
+    it is a :class:`~repro.obs.probe.Probe` sink: each tick appends the
+    closed window and refreshes the pressure gauges; :meth:`publish`
+    fills the rest once the event loop ends.
     """
 
     registry: MetricsRegistry
     windows: List[MetricWindow] = field(default_factory=list)
     scenario: str = ""
     scheduler: str = ""
+    frontend: InitVar[Optional["FrontendConfig"]] = None
 
     windowed = True
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, frontend: Optional["FrontendConfig"]) -> None:
         registry = self.registry
+
+        def by_type(declare, name: str, help: str) -> Dict[JobType, Metric]:
+            return {
+                t: declare(name, help, labels={"type": t.value}) for t in JobType
+            }
+
+        self._submitted = by_type(
+            registry.counter,
+            "repro_jobs_submitted",
+            "rendering jobs accepted by the head node",
+        )
+        self._completed = by_type(
+            registry.counter,
+            "repro_jobs_completed",
+            "rendering jobs completed (compositing included)",
+        )
+        self._latency = by_type(
+            registry.histogram,
+            "repro_job_latency_seconds",
+            "Definition-3 job latency (JF - JI)",
+        )
+        sched = {"scheduler": self.scheduler}
+        #: The one live series: the service observes each invocation.
+        self.sched_cost = registry.histogram(
+            "repro_sched_cost_seconds",
+            "wall-clock cost of one scheduler invocation (Table III)",
+            labels=sched,
+        )
+        assignments = registry.counter(
+            "repro_sched_assignments",
+            "task placements produced by the scheduler",
+            labels=sched,
+        )
+        #: ``(series, tally)`` pairs :meth:`publish` fills.
+        self._series: List[Tuple[Metric, str]] = [(assignments, "tasks_assigned")]
+        for gate, kind, name, labels, tally, help in _TALLIED:
+            if gate is None or getattr(frontend, gate, None) is not None:
+                declare = registry.gauge if kind == "gauge" else registry.counter
+                self._series.append((declare(name, help, labels), tally))
         self._gauges = (
             registry.gauge("repro_queue_depth", "jobs queued at the head node"),
             registry.gauge(
@@ -468,6 +573,41 @@ class RunMetrics:
                 "bytes resident across node chunk caches",
             ),
         )
+
+    def publish(self, collector, cluster, frontend=None) -> None:
+        """Fill every end-of-run series from the run's own tallies.
+
+        Called once, after the event loop.  ``collector`` is the run's
+        :class:`~repro.reporting.collectors.SimulationCollector`,
+        ``cluster`` its :class:`~repro.cluster.cluster.Cluster` and
+        ``frontend`` its :class:`~repro.frontend.frontend.FrontendStats`
+        (``None`` without a frontend).  Counters add, so runs sharing
+        one registry accumulate; gauges take the final level.
+        """
+        for job_type, n in collector.submitted_by_type.items():
+            self._submitted[job_type].inc(n)
+        completed, latency = self._completed, self._latency
+        for record in collector.records:  # completion order
+            completed[record.job_type].inc()
+            latency[record.job_type].observe(record.finish - record.arrival)
+        tallies: Dict[str, float] = {
+            "tasks_assigned": collector.scheduling.tasks_assigned,
+            "total_loads": cluster.storage.total_loads,
+            "total_bytes": cluster.storage.total_bytes,
+        }
+        for name in ("cache_hits", "cache_misses", "io_seconds", "io_timeouts"):
+            # A plain loop: sum() of floats rounds differently from 3.12.
+            total = 0
+            for node in cluster.nodes:
+                total += getattr(node, name)
+            tallies[name] = total
+        tallies["tasks_begun"] = tallies["cache_hits"] + tallies["cache_misses"]
+        for metric, name in self._series:
+            value = tallies[name] if name in tallies else getattr(frontend, name)
+            if isinstance(metric, Gauge):
+                metric.set(value)
+            else:
+                metric.inc(value)
 
     def sample(self, reading, window: Optional[MetricWindow]) -> None:
         """Probe sink: keep ``window``, set the pressure gauges."""

@@ -104,6 +104,7 @@ class SimulationCollector:
         self.records: List[JobRecord] = []
         self.scheduling = SchedulingCostStats()
         self.jobs_submitted = 0
+        self.submitted_by_type: Dict[JobType, int] = dict.fromkeys(JobType, 0)
         self.tasks_hit = 0
         self.tasks_missed = 0
         #: Per interactive action: [issued count, first issue, last issue].
@@ -116,6 +117,7 @@ class SimulationCollector:
     def on_submit(self, job: RenderJob) -> None:
         """Record a job entering the head node's queue."""
         self.jobs_submitted += 1
+        self.submitted_by_type[job.job_type] += 1
         if job.job_type is JobType.INTERACTIVE:
             entry = self.action_issues.get(job.action)
             if entry is None:

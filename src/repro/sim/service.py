@@ -26,7 +26,7 @@ from typing import Dict, List, Optional
 from repro.cluster.cluster import Cluster
 from repro.cluster.event_queue import PRIORITY_CYCLE
 from repro.cluster.node import RenderNode
-from repro.core.job import JobIdAllocator, JobType, RenderJob, RenderTask
+from repro.core.job import JobIdAllocator, RenderJob, RenderTask
 from repro.core.scheduler_base import Scheduler, SchedulerContext, Trigger
 from repro.core.tables import SchedulerTables
 from repro.reporting.collectors import SimulationCollector
@@ -47,11 +47,10 @@ class VisualizationService:
             submit/complete), one span per scheduler invocation, and one
             compositing span per job; it is also shared with policies
             via ``ctx.tracer``.
-        metrics: Optional :class:`~repro.obs.metrics.MetricsRegistry`.
-            When given, the service publishes job submission/completion
-            counters, job-latency histograms, and scheduler-cost
-            histograms into it; it is also shared with policies via
-            ``ctx.metrics``.  ``None`` (default) costs nothing.
+        sched_cost: Optional :class:`~repro.obs.metrics.Histogram`
+            (the run's ``repro_sched_cost_seconds``).  When given, the
+            service observes each scheduler invocation's wall-clock
+            cost into it.  ``None`` (default) costs nothing.
         audit: Optional :class:`~repro.obs.audit.AuditLog`.  When
             given, every placement routed through ``ctx.assign``
             records a decision entry, and (if a tracer is also active)
@@ -72,7 +71,7 @@ class VisualizationService:
         *,
         collector: Optional[SimulationCollector] = None,
         tracer=None,
-        metrics=None,
+        sched_cost=None,
         audit=None,
         job_ids: Optional[JobIdAllocator] = None,
     ) -> None:
@@ -91,19 +90,17 @@ class VisualizationService:
             executors_per_node=cluster.nodes[0].executors,
         )
         self.tracer = active_tracer(tracer)
-        self.metrics = metrics
+        self._sched_cost = sched_cost
         self.audit = audit
         # Flow events tie the causal chain together on the Chrome
         # timeline; they need both the timeline (tracer) and the causal
         # bookkeeping (audit) to mean anything.
         self._flows = self.tracer is not None and audit is not None
-        self._bind_metrics()
         self.ctx = SchedulerContext(
             cluster,
             self.tables,
             self.decomposition,
             tracer=self.tracer,
-            metrics=self.metrics,
             audit=self.audit,
         )
         self.collector = collector if collector is not None else SimulationCollector()
@@ -131,48 +128,6 @@ class VisualizationService:
         self._completion_listeners: List = []
         self.jobs_submitted = 0
         self.jobs_completed = 0
-
-    def _bind_metrics(self) -> None:
-        """Resolve registry metrics once so hot paths touch bound objects."""
-        registry = self.metrics
-        if registry is None:
-            self._m_submitted = self._m_completed = self._m_latency = None
-            self._m_sched_cost = self._m_assignments = None
-            return
-        self._m_submitted = {
-            t: registry.counter(
-                "repro_jobs_submitted",
-                "rendering jobs accepted by the head node",
-                labels={"type": t.value},
-            )
-            for t in JobType
-        }
-        self._m_completed = {
-            t: registry.counter(
-                "repro_jobs_completed",
-                "rendering jobs completed (compositing included)",
-                labels={"type": t.value},
-            )
-            for t in JobType
-        }
-        self._m_latency = {
-            t: registry.histogram(
-                "repro_job_latency_seconds",
-                "Definition-3 job latency (JF - JI)",
-                labels={"type": t.value},
-            )
-            for t in JobType
-        }
-        self._m_sched_cost = registry.histogram(
-            "repro_sched_cost_seconds",
-            "wall-clock cost of one scheduler invocation (Table III)",
-            labels={"scheduler": self.scheduler.name},
-        )
-        self._m_assignments = registry.counter(
-            "repro_sched_assignments",
-            "task placements produced by the scheduler",
-            labels={"scheduler": self.scheduler.name},
-        )
 
     def add_completion_listener(self, callback) -> None:
         """Register ``callback(job)`` to fire on every job completion.
@@ -272,8 +227,6 @@ class VisualizationService:
         """Queue a rendering job according to the scheduler's trigger."""
         self.jobs_submitted += 1
         self.collector.on_submit(job)
-        if self._m_submitted is not None:
-            self._m_submitted[job.job_type].inc()
         if self.tracer is not None:
             self.tracer.instant(
                 PID_HEAD,
@@ -357,9 +310,8 @@ class VisualizationService:
         elapsed = _time.perf_counter() - t0
         assignments = self.ctx.take_assignments()
         self.collector.scheduling.record(elapsed, len(jobs), len(assignments))
-        if self._m_sched_cost is not None and (jobs or assignments):
-            self._m_sched_cost.observe(elapsed)
-            self._m_assignments.inc(len(assignments))
+        if self._sched_cost is not None and (jobs or assignments):
+            self._sched_cost.observe(elapsed)
         if self.tracer is not None and (jobs or assignments):
             # One span per scheduler invocation.  The span starts at the
             # invocation's virtual instant; its duration is the measured
@@ -455,9 +407,6 @@ class VisualizationService:
             nodes[k].composite_seconds += composite
         self.jobs_completed += 1
         self.collector.on_job_complete(job)
-        if self._m_completed is not None:
-            self._m_completed[job.job_type].inc()
-            self._m_latency[job.job_type].observe(job.finish_time - job.arrival_time)
         if self.tracer is not None:
             self._trace_completion(job, now, composite, group_nodes)
         for listener in self._completion_listeners:

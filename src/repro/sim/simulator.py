@@ -309,12 +309,17 @@ def _run(
         events=events, storage_seed=config.storage_seed
     )
     live_tracer = active_tracer(config.tracer)
-    registry: Optional[MetricsRegistry] = None
-    if config.metrics:
-        registry = (
-            config.metrics
-            if isinstance(config.metrics, MetricsRegistry)
-            else MetricsRegistry()
+    run_metrics: Optional[RunMetrics] = None
+    registry = config.metrics
+    # Not truthiness alone: a caller's registry is empty on its first run.
+    if not isinstance(registry, MetricsRegistry):
+        registry = MetricsRegistry() if registry else None
+    if registry is not None:
+        run_metrics = RunMetrics(
+            registry,
+            scenario=scenario.name,
+            scheduler=scheduler.name,
+            frontend=config.frontend,
         )
     audit_log: Optional[AuditLog] = None
     causal: Optional[CausalCollector] = None
@@ -333,7 +338,7 @@ def _run(
         scheduler,
         scenario.system.chunk_max,
         tracer=live_tracer,
-        metrics=registry,
+        sched_cost=run_metrics.sched_cost if run_metrics is not None else None,
         audit=audit_log,
         job_ids=JobIdAllocator(config.job_namespace),
     )
@@ -349,7 +354,6 @@ def _run(
             service,
             target_framerate=scenario.target_framerate,
             horizon=None if drain else scenario.trace.duration,
-            metrics=registry,
             audit=audit_log,
         )
     # Observers: every sink rides the probe of its grid interval, one
@@ -358,14 +362,7 @@ def _run(
     observed_horizon = None if drain else duration
     window_grid = default_interval(duration, WINDOW_TICKS, WINDOW_FLOOR)
     grids: Dict[float, list] = {}
-    run_metrics: Optional[RunMetrics] = None
-    if registry is not None:
-        for node in cluster.nodes:
-            node.set_metrics(registry)
-        cluster.storage.set_metrics(registry)
-        run_metrics = RunMetrics(
-            registry, scenario=scenario.name, scheduler=scheduler.name
-        )
+    if run_metrics is not None:
         grids.setdefault(window_grid, []).append(run_metrics)
     if live_tracer is not None:
         live_tracer.name_process(PID_HEAD, "head node")
@@ -502,6 +499,9 @@ def _run(
         if gc_was_enabled:
             gc.enable()
 
+    frontend_stats = frontend.stats() if frontend is not None else None
+    if run_metrics is not None:
+        run_metrics.publish(service.collector, cluster, frontend_stats)
     stream_report = None
     if stream is not None:
         # Stop the watchdog, write the summary record, and drop the file
@@ -530,7 +530,7 @@ def _run(
         profile=ClusterProfile.from_cluster(cluster, max(events.now, 1e-9)),
         tracer=live_tracer,
         metrics=run_metrics,
-        frontend=frontend.stats() if frontend is not None else None,
+        frontend=frontend_stats,
         assignment_trace=assignment_trace,
         audit=audit_log,
         critical_paths=causal.analysis() if causal is not None else None,

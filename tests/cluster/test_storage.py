@@ -51,17 +51,21 @@ class TestLoadLifecycle:
     def test_begin_end_tracks_active(self):
         model = StorageModel(StorageSpec())
         model.begin_load(MiB)
-        model.begin_load(MiB)
+        model.begin_load(2 * MiB)
         assert model.active_loads == 2
-        model.end_load()
+        assert model.active_bytes == 3 * MiB
+        model.end_load(MiB)
         assert model.active_loads == 1
-        model.end_load()
+        assert model.active_bytes == 2 * MiB
+        model.end_load(2 * MiB)
         assert model.active_loads == 0
+        assert model.active_bytes == 0
 
     def test_end_without_begin_raises(self):
         model = StorageModel(StorageSpec())
         with pytest.raises(RuntimeError):
-            model.end_load()
+            model.end_load(MiB)
+        assert model.active_bytes == 0
 
     def test_counters(self):
         model = StorageModel(StorageSpec())

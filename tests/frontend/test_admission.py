@@ -135,20 +135,3 @@ class TestAccounting:
         record = ctrl.records[0]
         assert record.decision is Decision.REJECT_RATE
         assert record.time == 0.0
-
-    def test_metrics_published(self):
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        ctrl = AdmissionController(
-            AdmissionConfig(rate=1.0, burst=1.0), metrics=registry
-        )
-        ctrl.decide(req(0.0), 0.0)
-        ctrl.decide(req(0.0, seq=1), 0.0)
-        assert registry.value("repro_frontend_admitted") == 1
-        assert (
-            registry.value(
-                "repro_frontend_rejected", {"reason": "reject-rate"}
-            )
-            == 1
-        )

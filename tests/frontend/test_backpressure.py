@@ -3,7 +3,6 @@
 from repro.core.job import JobType
 from repro.frontend.backpressure import BoundedQueue
 from repro.frontend.config import BackpressureConfig, QueuePolicy
-from repro.obs.metrics import MetricsRegistry
 from repro.workload.trace import Request
 
 
@@ -19,7 +18,7 @@ class FakeService:
 
 
 class Harness:
-    def __init__(self, *, limit=2, policy=QueuePolicy.BLOCK, metrics=None):
+    def __init__(self, *, limit=2, policy=QueuePolicy.BLOCK):
         self.service = FakeService()
         self.forwarded = []
         self.overflows = 0
@@ -27,7 +26,6 @@ class Harness:
             BackpressureConfig(queue_limit=limit, policy=policy),
             self.service,
             self._forward,
-            metrics=metrics,
             on_overflow=self._overflow,
         )
 
@@ -135,14 +133,3 @@ class TestFlushAndMetrics:
         leftovers = h.queue.flush()
         assert [r.sequence for r, _ in leftovers] == [1, 2]
         assert h.queue.waiting_count == 0
-
-    def test_metrics_published(self):
-        registry = MetricsRegistry()
-        h = Harness(limit=1, policy=QueuePolicy.SHED_OLDEST, metrics=registry)
-        for i in range(3):
-            h.queue.offer(req(i), None)
-        assert registry.value("repro_frontend_wait_depth") == 1
-        assert registry.value("repro_frontend_deferred") == 2
-        assert (
-            registry.value("repro_frontend_shed", {"which": "oldest"}) == 1
-        )

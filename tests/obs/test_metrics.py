@@ -6,17 +6,26 @@ import json
 
 import pytest
 
+from repro.core.job import JobType
+from repro.faults.plan import FaultPlan
+from repro.frontend.config import (
+    AdmissionConfig,
+    BackpressureConfig,
+    DegradeConfig,
+    FrontendConfig,
+)
 from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
     MetricWindow,
+    RunMetrics,
     log_buckets,
 )
 from repro.sim.run_config import RunConfig
 from repro.sim.simulator import run_simulation
-from repro.workload.scenarios import scenario_1
+from repro.workload.scenarios import make_scenario, scenario_1
 
 
 class TestCounterGauge:
@@ -279,3 +288,166 @@ class TestSimulationIntegration:
         text = path.read_text()
         assert "# TYPE repro_jobs_completed_total counter" in text
         assert "# TYPE repro_job_latency_seconds histogram" in text
+
+
+def _overload_frontend(sessions, rate=None):
+    return FrontendConfig(
+        admission=AdmissionConfig(max_sessions=sessions, rate=rate),
+        backpressure=BackpressureConfig(queue_limit=32, policy="shed-oldest"),
+        degrade=DegradeConfig(),
+    )
+
+
+#: ``id -> (scenario, scale, load, frontend, storm seed)``.  "overload" is
+#: the frontend run of the ``cli:simulate-overload`` golden cell and
+#: "storm" a healed storm; the other two end the run degraded (level 2,
+#: both rejection reasons) and with a backlog in the wait queue.
+TALLIED_RUNS = {
+    "overload": (2, 0.03, 2.5, _overload_frontend(8), None),
+    "storm": (1, 0.1, 1.0, None, 11),
+    "ends-degraded": (2, 0.03, 2.5, _overload_frontend(4, rate=20.0), None),
+    "ends-backlogged": (2, 0.03, 6.0, _overload_frontend(8, rate=20.0), None),
+}
+
+
+def _tallied_run(case, monkeypatch, registry=None):
+    """Run ``case`` with metrics on; return the result and its cluster."""
+    number, scale, load, frontend, storm = TALLIED_RUNS[case]
+    scenario = make_scenario(number, scale=scale, load=load)
+    faults = None
+    if storm is not None:
+        faults = FaultPlan.storm(
+            storm,
+            node_count=scenario.system.node_count,
+            duration=scenario.trace.duration,
+            heal=True,
+        )
+    clusters = []
+    publish = RunMetrics.publish
+
+    def spy(self, collector, cluster, frontend=None):
+        clusters.append(cluster)
+        publish(self, collector, cluster, frontend)
+
+    monkeypatch.setattr(RunMetrics, "publish", spy)
+    result = run_simulation(
+        scenario,
+        "OURS",
+        RunConfig(
+            metrics=registry if registry is not None else True,
+            frontend=frontend,
+            faults=faults,
+        ),
+    )
+    return result, clusters[0]
+
+
+def _expected(result, cluster):
+    """Each counter/gauge of the run, keyed like the registry, from tallies."""
+    collector, nodes = result.collector, cluster.nodes
+    hits = sum(n.cache_hits for n in nodes)
+    misses = sum(n.cache_misses for n in nodes)
+    io_seconds = 0.0
+    for node in nodes:
+        io_seconds += node.io_seconds
+    expected = {
+        ("repro_sched_assignments", (("scheduler", "OURS"),)):
+            collector.scheduling.tasks_assigned,
+        ("repro_tasks_executed", ()): hits + misses,
+        ("repro_cache_hits", ()): hits,
+        ("repro_cache_misses", ()): misses,
+        ("repro_io_seconds", ()): io_seconds,
+        ("repro_io_timeouts", ()): sum(n.io_timeouts for n in nodes),
+        ("repro_io_loads", ()): cluster.storage.total_loads,
+        ("repro_io_bytes", ()): cluster.storage.total_bytes,
+    }
+    for t in JobType:
+        label = (("type", t.value),)
+        expected[("repro_jobs_submitted", label)] = collector.submitted_by_type[t]
+        expected[("repro_jobs_completed", label)] = sum(
+            1 for r in collector.records if r.job_type is t
+        )
+    stats = result.frontend
+    if stats is not None:
+        expected.update({
+            ("repro_frontend_admitted", ()): stats.requests_seen - stats.rejected,
+            ("repro_frontend_rejected", (("reason", "reject-rate"),)):
+                stats.rejected_rate,
+            ("repro_frontend_rejected", (("reason", "reject-sessions"),)):
+                stats.rejected_sessions,
+            ("repro_frontend_quality_level", ()): stats.final_quality_level,
+            ("repro_frontend_frames_dropped", ()): stats.frames_dropped,
+            ("repro_frontend_wait_depth", ()): stats.unserved_at_end,
+            ("repro_frontend_deferred", ()): stats.deferred,
+            ("repro_frontend_shed", (("which", "oldest"),)): stats.shed_oldest,
+            ("repro_frontend_shed", (("which", "newest"),)): stats.shed_newest,
+        })
+    return expected
+
+
+#: Gauges the probe refreshes every tick (no end-of-run tally).
+SAMPLED = {"repro_queue_depth", "repro_busy_nodes", "repro_cache_used_bytes"}
+
+
+class TestSeriesEqualTallies:
+    """Every end-of-run series is exactly the tally the run keeps."""
+
+    @pytest.mark.parametrize("case", sorted(TALLIED_RUNS))
+    def test_every_series_equals_its_tally(self, case, monkeypatch):
+        result, cluster = _tallied_run(case, monkeypatch)
+        registry = result.metrics.registry
+        expected = _expected(result, cluster)
+        published = {
+            (m.name, m.labels): m.value
+            for m in registry
+            if not isinstance(m, Histogram) and m.name not in SAMPLED
+        }
+        assert published == {k: float(v) for k, v in expected.items()}
+        for t in JobType:
+            latencies = [
+                r.finish - r.arrival
+                for r in result.collector.records
+                if r.job_type is t
+            ]
+            want = Histogram("want")
+            for latency in latencies:
+                want.observe(latency)
+            got = registry.get("repro_job_latency_seconds", {"type": t.value})
+            assert (got.count, got.sum, got.bucket_counts) == (
+                want.count,
+                want.sum,
+                want.bucket_counts,
+            )
+        cost = registry.get("repro_sched_cost_seconds", {"scheduler": "OURS"})
+        assert 0 < cost.count <= result.collector.scheduling.invocations
+
+    def test_runs_exercise_every_tally(self, monkeypatch):
+        """The cases are not vacuous: each tally moves in some run."""
+        overload, _ = _tallied_run("overload", monkeypatch)
+        storm, storm_cluster = _tallied_run("storm", monkeypatch)
+        degraded, _ = _tallied_run("ends-degraded", monkeypatch)
+        backlogged, _ = _tallied_run("ends-backlogged", monkeypatch)
+        assert overload.frontend.shed_oldest and overload.frontend.frames_dropped
+        assert storm_cluster.storage.total_loads and storm.tasks_missed
+        assert storm.fault_report is not None
+        assert degraded.frontend.final_quality_level > 0
+        assert degraded.frontend.rejected_rate and degraded.frontend.rejected_sessions
+        assert backlogged.frontend.unserved_at_end > 0
+
+    def test_shared_registry_counters_sum(self, monkeypatch):
+        alone = [
+            _tallied_run(case, monkeypatch)[0].metrics.registry
+            for case in ("overload", "storm")
+        ]
+        shared = MetricsRegistry()
+        for case in ("overload", "storm"):
+            _tallied_run(case, monkeypatch, registry=shared)
+        counters = [m for m in shared if isinstance(m, Counter)]
+        assert counters
+        for m in counters:
+            labels = dict(m.labels)
+            assert m.value == sum(r.value(m.name, labels) for r in alone), m.name
+        for m in shared:
+            if isinstance(m, Histogram) and m.name != "repro_sched_cost_seconds":
+                labels = dict(m.labels)
+                assert m.count == sum(r.get(m.name, labels).count for r in alone)
