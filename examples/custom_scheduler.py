@@ -22,12 +22,7 @@ from typing import Deque, Sequence
 from repro import comparison_table, run_simulation, scenario_1
 from repro.core.job import RenderJob, RenderTask
 from repro.core.registry import register_scheduler
-from repro.core.scheduler_base import (
-    Scheduler,
-    SchedulerContext,
-    Trigger,
-    greedy_min_available,
-)
+from repro.core.scheduler_base import Scheduler, SchedulerContext, Trigger
 
 
 class DelayScheduler(Scheduler):
@@ -81,7 +76,7 @@ class DelayScheduler(Scheduler):
             if best_cached is not None and best_free <= now + self.cycle:
                 ctx.assign(task, best_cached)
             elif now >= self._deadline[task] or not cached:
-                ctx.assign(task, greedy_min_available(task, ctx))
+                ctx.assign(task, tables.min_available_node())
             else:
                 still_waiting.append(task)
                 continue

@@ -26,13 +26,12 @@ from repro.core.scheduler_base import (
     SchedulerContext,
     Trigger,
     greedy_locality_aware,
-    greedy_min_available,
+    place_min_available,
 )
 from repro.obs.audit import (
     REASON_CACHE_HIT,
     REASON_FALLBACK,
     REASON_MIN_ESTIMATE,
-    REASON_ONLY_AVAILABLE,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -46,11 +45,9 @@ class FCFSScheduler(Scheduler):
     trigger = Trigger.IMMEDIATE
 
     def schedule(self, jobs: Sequence[RenderJob], ctx: SchedulerContext) -> None:
-        for job in jobs:
-            for task in ctx.decompose(job):
-                ctx.assign(
-                    task, greedy_min_available(task, ctx), REASON_ONLY_AVAILABLE
-                )
+        place_min_available(
+            (task for job in jobs for task in ctx.decompose(job)), ctx
+        )
 
 
 class FCFSLScheduler(Scheduler):

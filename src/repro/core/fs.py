@@ -27,9 +27,8 @@ from repro.core.scheduler_base import (
     Scheduler,
     SchedulerContext,
     Trigger,
-    greedy_min_available,
+    place_min_available,
 )
-from repro.obs.audit import REASON_ONLY_AVAILABLE
 
 
 class FSScheduler(Scheduler):
@@ -90,10 +89,7 @@ class FSScheduler(Scheduler):
             if not queue:
                 active.remove(user)
             self._usage[user] += self._charge(job, ctx)
-            for task in job.tasks:
-                ctx.assign(
-                    task, greedy_min_available(task, ctx), REASON_ONLY_AVAILABLE
-                )
+            place_min_available(job.tasks, ctx)
 
 
 __all__ = ["FSScheduler"]

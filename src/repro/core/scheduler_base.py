@@ -22,14 +22,15 @@ from __future__ import annotations
 
 import enum
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence
+from heapq import heapify, heapreplace
+from typing import TYPE_CHECKING, Iterable, List, NamedTuple, Optional, Sequence
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.costs import CostParameters
 from repro.core.chunks import ChunkedDecomposition, DecompositionPolicy
 from repro.core.job import RenderJob, RenderTask
 from repro.core.tables import SchedulerTables
-from repro.obs.audit import REASON_FALLBACK
+from repro.obs.audit import REASON_FALLBACK, REASON_ONLY_AVAILABLE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.run_config import RunConfig
@@ -271,12 +272,29 @@ class Scheduler(ABC):
         return f"{type(self).__name__}(name={self.name!r})"
 
 
-def greedy_min_available(
-    task: RenderTask,
-    ctx: SchedulerContext,
-) -> int:
-    """The locality-blind greedy step: the min-available-time node."""
-    return ctx.tables.min_available_node()
+def place_min_available(tasks: Iterable[RenderTask], ctx: SchedulerContext) -> None:
+    """Place each task, in order, on the node with the smallest
+    predicted available time (the locality-blind greedy step of FCFS,
+    SF and FS).
+
+    One heap of ``(Available[k], k)`` serves the whole call: each task
+    goes to the heap top's node through ``ctx.assign``, and that node's
+    entry is replaced by its new available time.  This is exact because
+    during a scheduling call ``record_assignment`` is the only writer of
+    ``Available`` and it writes only the chosen node, so the heap order
+    ``(time, lowest id)`` names the same node as
+    ``tables.min_available_node()`` at every step, ties and ``+inf``
+    (failed or quarantined) nodes included.  Callers must not write
+    ``Available`` by other means while ``tasks`` is being consumed.
+    """
+    available = ctx.tables.available
+    heap = list(zip(available, range(len(available))))
+    heapify(heap)
+    assign = ctx.assign
+    for task in tasks:
+        node = heap[0][1]
+        assign(task, node, REASON_ONLY_AVAILABLE)
+        heapreplace(heap, (available[node], node))
 
 
 def greedy_locality_aware(
@@ -313,6 +331,6 @@ __all__ = [
     "Assignment",
     "SchedulerContext",
     "Scheduler",
-    "greedy_min_available",
+    "place_min_available",
     "greedy_locality_aware",
 ]

@@ -21,9 +21,8 @@ from repro.core.scheduler_base import (
     Scheduler,
     SchedulerContext,
     Trigger,
-    greedy_min_available,
+    place_min_available,
 )
-from repro.obs.audit import REASON_ONLY_AVAILABLE
 
 
 class SFScheduler(Scheduler):
@@ -52,11 +51,9 @@ class SFScheduler(Scheduler):
             ctx.decompose(job)
             estimated.append((self._job_estimate(job, ctx), order, job))
         estimated.sort()  # shortest first; arrival order breaks ties
-        for _est, _order, job in estimated:
-            for task in job.tasks:
-                ctx.assign(
-                    task, greedy_min_available(task, ctx), REASON_ONLY_AVAILABLE
-                )
+        place_min_available(
+            (task for _est, _order, job in estimated for task in job.tasks), ctx
+        )
 
 
 __all__ = ["SFScheduler"]

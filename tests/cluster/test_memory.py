@@ -63,6 +63,51 @@ class TestBasics:
             LRUChunkCache(0)
 
 
+class TestInsertIsOneLRUOperation:
+    """``insert`` handles residency, capacity and eviction on its own."""
+
+    def test_resident_insert_returns_empty_and_moves_to_mru(self):
+        cache = LRUChunkCache(300)
+        seen = []
+        for i in range(3):
+            cache.insert(chunk(i))
+        cache.observer = lambda kind, c: seen.append((kind, c))
+        assert cache.insert(chunk(0)) == []
+        assert cache.chunks() == [chunk(1), chunk(2), chunk(0)]
+        assert cache.used_bytes == 300
+        assert seen == []
+        # chunk 0 is now most recently used, so chunk 1 goes first.
+        assert cache.insert(chunk(3)) == [chunk(1)]
+
+    def test_too_large_raises_before_any_mutation(self):
+        cache = LRUChunkCache(250)
+        seen = []
+        cache.insert(chunk(0))
+        cache.insert(chunk(1))
+        cache.observer = lambda kind, c: seen.append((kind, c))
+        with pytest.raises(ChunkTooLargeError):
+            cache.insert(chunk(2, size=251))
+        assert cache.chunks() == [chunk(0), chunk(1)]
+        assert cache.used_bytes == 200
+        assert seen == []
+        cache.check_invariants()
+
+    def test_observer_sees_evictions_before_the_insert(self):
+        cache = LRUChunkCache(300)
+        for i in range(3):
+            cache.insert(chunk(i))
+        seen = []
+        cache.observer = lambda kind, c: seen.append((kind, c))
+        assert cache.insert(chunk(3, size=200)) == [chunk(0), chunk(1)]
+        assert seen == [
+            ("evict", chunk(0)),
+            ("evict", chunk(1)),
+            ("insert", chunk(3, size=200)),
+        ]
+        assert cache.chunks() == [chunk(2), chunk(3, size=200)]
+        cache.check_invariants()
+
+
 class TestLRUOrder:
     def test_eviction_order_is_least_recent_first(self):
         cache = LRUChunkCache(300)

@@ -8,7 +8,7 @@ from repro.core.scheduler_base import (
     Scheduler,
     Trigger,
     greedy_locality_aware,
-    greedy_min_available,
+    place_min_available,
 )
 from repro.util.units import GiB, MiB
 
@@ -47,7 +47,9 @@ class TestGreedyHelpers:
         harness.tables.available[0] = 5.0
         job = harness.job(dataset_1g)
         task = harness.ctx.decompose(job)[0]
-        assert greedy_min_available(task, harness.ctx) != 0
+        place_min_available([task], harness.ctx)
+        (assignment,) = harness.ctx.take_assignments()
+        assert assignment.node != 0
 
     def test_locality_aware_prefers_cache(self, harness, dataset_1g):
         job = harness.job(dataset_1g)
