@@ -483,8 +483,8 @@ _TALLIED = (
      "shed_oldest", "requests shed by the bounded queue"),
     ("backpressure", "counter", "repro_frontend_shed", {"which": "newest"},
      "shed_newest", "requests shed by the bounded queue"),
-    (None, "counter", "repro_tasks_executed", None, "tasks_begun",
-     "render tasks begun executing"),
+    (None, "counter", "repro_tasks_executed", None, "tasks_executed",
+     "render tasks finished"),
     (None, "counter", "repro_cache_hits", None, "cache_hits",
      "tasks whose chunk was memory-resident"),
     (None, "counter", "repro_cache_misses", None, "cache_misses",
@@ -595,13 +595,15 @@ class RunMetrics:
             "total_loads": cluster.storage.total_loads,
             "total_bytes": cluster.storage.total_bytes,
         }
-        for name in ("cache_hits", "cache_misses", "io_seconds", "io_timeouts"):
+        for name in (
+            "tasks_executed", "cache_hits", "cache_misses", "io_seconds",
+            "io_timeouts",
+        ):
             # A plain loop: sum() of floats rounds differently from 3.12.
             total = 0
             for node in cluster.nodes:
                 total += getattr(node, name)
             tallies[name] = total
-        tallies["tasks_begun"] = tallies["cache_hits"] + tallies["cache_misses"]
         for metric, name in self._series:
             value = tallies[name] if name in tallies else getattr(frontend, name)
             if isinstance(metric, Gauge):
